@@ -99,16 +99,8 @@ struct DumpPayload {
 
 bool ObtainDump(const Submission& sub, uint64_t seed, DumpPayload* out) {
   if (!sub.dump_base.empty()) {
-    out->mapped = rose::MappedTrace::OpenFile(sub.dump_base + ".trc");
-    if (rose::HasErrors(out->mapped.diagnostics())) {
-      for (const rose::Diagnostic& diag : out->mapped.diagnostics()) {
-        std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
-      }
+    if (!rose::OpenDumpForSubmit(sub.dump_base + ".trc", &out->mapped, &out->trace)) {
       return false;
-    }
-    if (!out->mapped.zero_copy()) {
-      out->trace = out->mapped.Promote();
-      out->mapped = rose::MappedTrace();
     }
     out->events = out->mapped.valid() ? out->mapped.event_count() : out->trace.size();
     if (!rose::ReadFileBytes(sub.dump_base + ".profile", &out->profile_text)) {

@@ -192,19 +192,9 @@ int main(int argc, char** argv) {
     }
     size_t dump_events = 0;
     if (load_mode == "mmap") {
-      mapped = rose::MappedTrace::OpenFile(dump_path);
-      for (const rose::Diagnostic& diag : mapped.diagnostics()) {
-        std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
-      }
-      if (rose::HasErrors(mapped.diagnostics())) {
+      if (!rose::OpenDumpForSubmit(dump_path, &mapped, &trace)) {
         std::fprintf(stderr, "rose_serve_cli: dump %s is damaged\n", dump_path.c_str());
         return 1;
-      }
-      if (!mapped.zero_copy()) {
-        // Text dump: there is no container blob to ship raw; fall back to
-        // the owning path (still loaded through the mapping).
-        trace = mapped.Promote();
-        mapped = rose::MappedTrace();
       }
       dump_events = mapped.valid() ? mapped.event_count() : trace.size();
     } else {

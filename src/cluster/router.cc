@@ -46,9 +46,9 @@ ClusterRouter::ClusterRouter(RouterConfig config)
   metrics_.recovered_jobs = reg.GetCounter("cluster.recovered_jobs");
   metrics_.rejects_invalid = reg.GetCounter("cluster.rejects_invalid");
   metrics_.corrupt_frames = reg.GetCounter("cluster.corrupt_frames");
-  metrics_.journal_appends = reg.GetGauge("cluster.journal_appends");
-  metrics_.journal_fsyncs = reg.GetGauge("cluster.journal_fsyncs");
-  metrics_.journal_bytes = reg.GetGauge("cluster.journal_bytes");
+  metrics_.journal_appends = reg.GetCounter("cluster.journal_appends");
+  metrics_.journal_fsyncs = reg.GetCounter("cluster.journal_fsyncs");
+  metrics_.journal_bytes = reg.GetCounter("cluster.journal_bytes");
   metrics_.ring_imbalance = reg.GetGauge("cluster.ring_imbalance");
 
   // Journal replay: every dispatch without a completion is a job this
@@ -744,9 +744,14 @@ void ClusterRouter::FlushOutboxes() {
 }
 
 void ClusterRouter::UpdateDepthGauges() {
-  metrics_.journal_appends->Set(static_cast<int64_t>(journal_.appends()));
-  metrics_.journal_fsyncs->Set(static_cast<int64_t>(journal_.fsyncs()));
-  metrics_.journal_bytes->Set(static_cast<int64_t>(journal_.bytes_written()));
+  // The journal keeps running totals; advance the process-wide counters by
+  // what this router's journal wrote since the last publish.
+  metrics_.journal_appends->Inc(journal_.appends() - metrics_.published_appends);
+  metrics_.journal_fsyncs->Inc(journal_.fsyncs() - metrics_.published_fsyncs);
+  metrics_.journal_bytes->Inc(journal_.bytes_written() - metrics_.published_bytes);
+  metrics_.published_appends = journal_.appends();
+  metrics_.published_fsyncs = journal_.fsyncs();
+  metrics_.published_bytes = journal_.bytes_written();
   size_t min_depth = 0, max_depth = 0;
   bool first = true;
   MetricRegistry& reg = MetricRegistry::Global();

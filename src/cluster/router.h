@@ -207,10 +207,14 @@ class ClusterRouter {
     Counter* recovered_jobs;
     Counter* rejects_invalid;
     Counter* corrupt_frames;
-    Gauge* journal_appends;
-    Gauge* journal_fsyncs;
-    Gauge* journal_bytes;
+    Counter* journal_appends;
+    Counter* journal_fsyncs;
+    Counter* journal_bytes;
     Gauge* ring_imbalance;
+    // Journal totals already added to the journal_* counters.
+    uint64_t published_appends = 0;
+    uint64_t published_fsyncs = 0;
+    uint64_t published_bytes = 0;
   };
   ClusterMetrics metrics_;
 

@@ -100,7 +100,7 @@ std::string RenderTraceStats(TraceView trace, MetricRegistry* registry,
     // one node — occurring twice means the digest aliased two distinct
     // calling contexts and the address no longer names a unique invocation),
     // and the seq-depth histogram (how deep same-context repetition runs —
-    // the residual ambiguity a context-mode Level-2 sweep still faces).
+    // the ambiguity left after qualifying an invocation by its context).
     uint64_t indexed = 0;
     uint64_t unindexed = 0;
     uint32_t max_seq = 0;

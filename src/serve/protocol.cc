@@ -151,12 +151,6 @@ void FrameDecoder::Compact() {
 
 // --- Message codecs ----------------------------------------------------------
 
-std::string EncodeSubmit(const SubmitRequest& request) {
-  return EncodeSubmitBlob(request.bug_id, request.seed, request.tag,
-                          SerializeProfile(request.profile),
-                          request.trace.SerializeBinary());
-}
-
 std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string_view tag,
                              std::string_view profile_text, std::string_view trace_blob,
                              uint64_t token) {
@@ -174,26 +168,6 @@ std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string
     PutVarint(&payload, token);
   }
   return payload;
-}
-
-bool DecodeSubmit(std::string_view payload, SubmitRequest* out,
-                  std::vector<Diagnostic>* trace_diags) {
-  std::string_view bug_id;
-  std::string_view tag;
-  std::string_view profile_text;
-  std::string_view trace_blob;
-  if (!GetLengthPrefixed(&payload, &bug_id) || !GetVarint(&payload, &out->seed) ||
-      !GetLengthPrefixed(&payload, &tag) || !GetLengthPrefixed(&payload, &profile_text) ||
-      !GetLengthPrefixed(&payload, &trace_blob)) {
-    return false;
-  }
-  out->bug_id = std::string(bug_id);
-  out->tag = std::string(tag);
-  if (!ParseProfile(profile_text, &out->profile)) {
-    return false;
-  }
-  out->trace = Trace::ParseBinary(trace_blob, trace_diags);
-  return true;
 }
 
 bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out) {

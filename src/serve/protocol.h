@@ -254,11 +254,10 @@ void AppendServeHeader(std::string* out);
 // Appends one `kind` frame wrapping `payload` (length + CRC32 computed here).
 void AppendServeFrame(std::string* out, ServeFrame kind, std::string_view payload);
 
-std::string EncodeSubmit(const SubmitRequest& request);
 // Zero-copy encode: wraps an already-serialized RTRC blob (e.g. the bytes
-// of a mapped dump file) without re-encoding a Trace. EncodeSubmit is this
-// plus SerializeBinary; the canonical hash is encoding-independent, so a
-// raw-blob submission and a re-encoded one dedup to the same cache key.
+// of a mapped dump file, or Trace::SerializeBinary) without re-encoding a
+// Trace; the canonical hash is encoding-independent, so a raw-blob
+// submission and a re-encoded one dedup to the same cache key.
 std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string_view tag,
                              std::string_view profile_text, std::string_view trace_blob,
                              uint64_t token = 0);
@@ -275,16 +274,11 @@ std::string EncodeError(const ErrorMsg& msg);
 std::string EncodeStats(const StatsMsg& msg);
 
 // Payload decoders; false on malformed input (missing fields / overrun).
-// DecodeSubmit parses the embedded RTRC blob; container damage (truncation,
-// CRC) lands in `trace_diags` — the frame still decodes, the *service*
+// DecodeSubmitEnvelope adopts `payload` (move the DecodedFrame's payload in)
+// and records field offsets without parsing the trace blob at all; it fails
+// on a malformed profile, but trace-container damage (truncation, CRC)
+// surfaces later, from whoever consumes trace_blob() — the *service*
 // decides whether a damaged dump is admissible.
-bool DecodeSubmit(std::string_view payload, SubmitRequest* out,
-                  std::vector<Diagnostic>* trace_diags = nullptr);
-// Zero-copy decode: adopts `payload` (move the DecodedFrame's payload in)
-// and records field offsets without parsing the trace blob at all. Same
-// false-on-malformed semantics as DecodeSubmit, including the ParseProfile
-// check; trace-container damage surfaces later, from whoever consumes
-// trace_blob().
 bool DecodeSubmitEnvelope(std::string payload, SubmitEnvelope* out);
 bool DecodeAccepted(std::string_view payload, AcceptedMsg* out);
 bool DecodeStreamOpen(std::string_view payload, StreamOpenMsg* out);

@@ -1,5 +1,6 @@
 #include "src/trace/mapped_trace.h"
 
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -149,6 +150,21 @@ Trace MappedTrace::Promote() const {
     pool.Intern(impl_->pool.View(id));
   }
   return Trace(impl_->events, std::move(pool));
+}
+
+bool OpenDumpForSubmit(const std::string& path, MappedTrace* mapped, Trace* trace) {
+  *mapped = MappedTrace::OpenFile(path);
+  for (const Diagnostic& diag : mapped->diagnostics()) {
+    std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
+  }
+  if (HasErrors(mapped->diagnostics())) {
+    return false;
+  }
+  if (!mapped->zero_copy()) {
+    *trace = mapped->Promote();
+    *mapped = MappedTrace();
+  }
+  return true;
 }
 
 }  // namespace rose

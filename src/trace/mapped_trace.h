@@ -91,6 +91,14 @@ class MappedTrace {
   std::shared_ptr<std::vector<Diagnostic>> invalid_diags_;
 };
 
+// Opens the saved dump at `path` for submission over the serve wire. Every
+// diagnostic of the open is printed to stderr; returns false if any is an
+// error. A binary dump stays a zero-copy handle in `*mapped`, whose
+// container bytes ship verbatim (ServeClient::SubmitBlob). A text dump has
+// no container blob to ship, so it is promoted into `*trace` and `*mapped`
+// is left invalid.
+bool OpenDumpForSubmit(const std::string& path, MappedTrace* mapped, Trace* trace);
+
 }  // namespace rose
 
 #endif  // SRC_TRACE_MAPPED_TRACE_H_

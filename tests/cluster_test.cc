@@ -22,6 +22,7 @@
 #include "src/harness/rose.h"
 #include "src/harness/runner.h"
 #include "src/net/transport.h"
+#include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/service.h"
@@ -377,6 +378,44 @@ TEST(ClusterRouterTest, TwoShardResultsAreByteIdenticalToOffline) {
   EXPECT_EQ(cluster.router.stats().completions, 2u);
   EXPECT_EQ(cluster.router.stats().failovers, 0u);
   EXPECT_TRUE(cluster.router.journal().pending().empty());
+}
+
+TEST(ClusterRouterTest, JournalCountersAdvanceByWhatTheJournalWrote) {
+  const std::string journal_path = TempPath("rose_router_counters.rjnl");
+  std::filesystem::remove(journal_path);
+  const Dump dump = MakeDump("RedisRaft-42", 42);
+  MetricRegistry& reg = MetricRegistry::Global();
+  Counter* appends = reg.GetCounter("cluster.journal_appends");
+  Counter* fsyncs = reg.GetCounter("cluster.journal_fsyncs");
+  Counter* bytes = reg.GetCounter("cluster.journal_bytes");
+  const uint64_t appends_before = appends->value();
+  const uint64_t fsyncs_before = fsyncs->value();
+  const uint64_t bytes_before = bytes->value();
+
+  RouterConfig config;
+  config.journal_path = journal_path;
+  TestCluster cluster(config);
+  cluster.AddShard("shard0");
+  cluster.AddShard("shard1");
+  ServeClient& a = cluster.AddClient();
+  ServeClient& b = cluster.AddClient();
+  a.Submit(MakeSubmit("RedisRaft-42", 42, dump));
+  b.Submit(MakeSubmit("RedisRaft-42", 7, dump));
+  cluster.PumpUntilAllDone();
+
+  const ClusterJournal& journal = cluster.router.journal();
+  ASSERT_GT(journal.appends(), 0u);
+  ASSERT_GT(journal.fsyncs(), 0u);
+#if ROSE_OBS_ENABLED
+  EXPECT_EQ(appends->value() - appends_before, journal.appends());
+  EXPECT_EQ(fsyncs->value() - fsyncs_before, journal.fsyncs());
+  EXPECT_EQ(bytes->value() - bytes_before, journal.bytes_written());
+#else
+  EXPECT_EQ(appends->value(), appends_before);
+  EXPECT_EQ(fsyncs->value(), fsyncs_before);
+  EXPECT_EQ(bytes->value(), bytes_before);
+#endif
+  std::filesystem::remove(journal_path);
 }
 
 TEST(ClusterRouterTest, CacheHitsRouteToTheOwnerShardByteIdentically) {

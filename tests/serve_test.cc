@@ -171,16 +171,24 @@ TEST(ServeProtocolTest, SubmitRoundTripPreservesTraceAndProfile) {
   ASSERT_TRUE(production.has_value());
   request.trace = std::move(*production);
 
-  SubmitRequest decoded;
+  SubmitEnvelope env;
+  ASSERT_TRUE(DecodeSubmitEnvelope(
+      EncodeSubmitBlob(request.bug_id, request.seed, request.tag,
+                       SerializeProfile(request.profile), request.trace.SerializeBinary(),
+                       /*token=*/0xBEEF),
+      &env));
+  EXPECT_EQ(env.bug_id(), "RedisRaft-42");
+  EXPECT_EQ(env.seed(), 99u);
+  EXPECT_EQ(env.tag(), "unit");
+  EXPECT_EQ(env.token(), 0xBEEFu);
   std::vector<Diagnostic> diags;
-  ASSERT_TRUE(DecodeSubmit(EncodeSubmit(request), &decoded, &diags));
+  uint64_t blob_hash = 0;
+  size_t events = 0;
+  ASSERT_TRUE(CanonicalBlobHash(env.trace_blob(), &blob_hash, &diags, &events));
   EXPECT_TRUE(diags.empty());
-  EXPECT_EQ(decoded.bug_id, "RedisRaft-42");
-  EXPECT_EQ(decoded.seed, 99u);
-  EXPECT_EQ(decoded.tag, "unit");
-  EXPECT_EQ(decoded.trace.size(), request.trace.size());
-  EXPECT_EQ(CanonicalTraceHash(decoded.trace), CanonicalTraceHash(request.trace));
-  EXPECT_EQ(SerializeProfile(decoded.profile), SerializeProfile(request.profile));
+  EXPECT_EQ(events, request.trace.size());
+  EXPECT_EQ(blob_hash, CanonicalTraceHash(request.trace));
+  EXPECT_EQ(SerializeProfile(env.profile()), SerializeProfile(request.profile));
 }
 
 TEST(ServeProtocolTest, ProfileSerializationRoundTrips) {
@@ -513,7 +521,9 @@ TEST(DiagnosisServiceTest, CorruptSubmitFrameMidStreamRecovers) {
 
   // Craft the client's byte stream by hand: header, a submit frame with one
   // payload byte flipped (CRC mismatch), then an intact submit frame.
-  const std::string payload = EncodeSubmit(MakeSubmit("RedisRaft-42", 42, dump));
+  const std::string payload = EncodeSubmitBlob("RedisRaft-42", 42, "",
+                                               SerializeProfile(dump.profile),
+                                               dump.trace.SerializeBinary());
   std::string wire;
   AppendServeHeader(&wire);
   const size_t bad_at = wire.size();
