@@ -13,27 +13,23 @@
 //   ./build/examples/rose_routerd [flags] <bug-id>[=DUMPBASE] ...
 //
 // Example — two shards, one killed mid-job; the survivor finishes all jobs:
-//   ./build/examples/rose_routerd --shards 2 --kill-shard shard0 \
-//       RedisRaft-42 RedisRaft-43
+//   ./build/examples/rose_routerd --shards 2 --kill-shard shard0 RedisRaft-42 RedisRaft-43
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "examples/serve_demo.h"
 #include "src/cluster/journal.h"
 #include "src/cluster/router.h"
-#include "src/harness/bug_registry.h"
-#include "src/harness/runner.h"
 #include "src/net/transport.h"
 #include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/service.h"
-#include "src/trace/mapped_trace.h"
-#include "src/trace/trace_io.h"
 
 namespace {
 
@@ -72,14 +68,6 @@ example (two shards, one killed mid-job; the survivor finishes all jobs):
   rose_routerd --shards 2 --kill-shard shard0 RedisRaft-42 RedisRaft-43
 )";
 
-struct Submission {
-  std::string bug_id;
-  std::string dump_base;  // Empty = simulate phases 1-2.
-  std::unique_ptr<rose::ServeClient> client;
-  uint64_t handle = 0;
-  bool reported = false;
-};
-
 // One backend shard: a full DiagnosisService on its own "socket".
 struct ShardProc {
   std::string name;
@@ -87,45 +75,6 @@ struct ShardProc {
   std::shared_ptr<rose::Transport> service_end;
   bool alive = true;
 };
-
-// One obtained dump + baseline, ready to submit (same shape as rose_served).
-struct DumpPayload {
-  rose::Profile profile;
-  std::string profile_text;
-  rose::MappedTrace mapped;
-  rose::Trace trace;
-  size_t events = 0;
-};
-
-bool ObtainDump(const Submission& sub, uint64_t seed, DumpPayload* out) {
-  if (!sub.dump_base.empty()) {
-    if (!rose::OpenDumpForSubmit(sub.dump_base + ".trc", &out->mapped, &out->trace)) {
-      return false;
-    }
-    out->events = out->mapped.valid() ? out->mapped.event_count() : out->trace.size();
-    if (!rose::ReadFileBytes(sub.dump_base + ".profile", &out->profile_text)) {
-      std::fprintf(stderr, "rose_routerd: cannot open %s.profile\n", sub.dump_base.c_str());
-      return false;
-    }
-    return rose::ParseProfile(out->profile_text, &out->profile);
-  }
-  const rose::BugSpec* spec = rose::FindBug(sub.bug_id);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "rose_routerd: unknown bug id %s\n", sub.bug_id.c_str());
-    return false;
-  }
-  rose::BugRunner runner(spec);
-  out->profile = runner.RunProfiling(seed);
-  std::optional<rose::Trace> production =
-      runner.ObtainProductionTrace(out->profile, seed + 17);
-  if (!production.has_value()) {
-    std::fprintf(stderr, "rose_routerd: %s never surfaced\n", sub.bug_id.c_str());
-    return false;
-  }
-  out->trace = std::move(*production);
-  out->events = out->trace.size();
-  return true;
-}
 
 }  // namespace
 
@@ -139,7 +88,7 @@ int main(int argc, char** argv) {
   std::string out_dir = ".";
   std::string stats_out;
   uint64_t seed = 42;
-  std::vector<Submission> submissions;
+  std::vector<serve_demo::Submission> submissions;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--help") == 0) {
       std::fputs(kHelp, stdout);
@@ -163,15 +112,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--stats-out") == 0 && i + 1 < argc) {
       stats_out = argv[++i];
     } else {
-      Submission sub;
-      const char* eq = std::strchr(argv[i], '=');
-      if (eq != nullptr) {
-        sub.bug_id.assign(argv[i], static_cast<size_t>(eq - argv[i]));
-        sub.dump_base = eq + 1;
-      } else {
-        sub.bug_id = argv[i];
-      }
-      submissions.push_back(std::move(sub));
+      submissions.push_back(serve_demo::ParseSubmission(argv[i]));
     }
   }
   if (submissions.empty() || shard_count < 1) {
@@ -187,7 +128,9 @@ int main(int argc, char** argv) {
                          "(someone must survive to take over)\n");
     return 2;
   }
-  std::filesystem::create_directories(out_dir);
+  // A directory that cannot be created surfaces as a failed schedule write.
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(out_dir, mkdir_error);
 
   rose::ClusterRouter router(router_config);
   std::vector<ShardProc> shards(static_cast<size_t>(shard_count));
@@ -216,27 +159,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(router.ring().epoch()));
 
   size_t client_index = 0;
-  for (Submission& sub : submissions) {
+  for (serve_demo::Submission& sub : submissions) {
     client_index++;
-    DumpPayload payload;
-    if (!ObtainDump(sub, seed, &payload)) {
+    serve_demo::DumpPayload payload;
+    if (!serve_demo::ObtainDump("rose_routerd", sub, seed, &payload)) {
       return 1;
     }
     auto [client_end, router_end] = rose::MakePipePair();
     router.AttachClient(router_end);
     sub.client = std::make_unique<rose::ServeClient>(client_end);
-    if (payload.mapped.valid()) {
-      sub.handle = sub.client->SubmitBlob(sub.bug_id, seed, sub.bug_id,
-                                          payload.profile_text, payload.mapped.bytes());
-    } else {
-      rose::SubmitRequest request;
-      request.bug_id = sub.bug_id;
-      request.seed = seed;
-      request.tag = sub.bug_id;
-      request.profile = std::move(payload.profile);
-      request.trace = std::move(payload.trace);
-      sub.handle = sub.client->Submit(request);
-    }
+    serve_demo::Submit(sub, seed, payload);
     std::printf("client %zu: submitted %s (%zu events)\n", client_index,
                 sub.bug_id.c_str(), payload.events);
   }
@@ -245,40 +177,8 @@ int main(int argc, char** argv) {
   bool killed = kill_shard.empty();
   for (;;) {
     bool all_done = true;
-    for (Submission& sub : submissions) {
-      sub.client->Poll();
-      for (const rose::ProgressMsg& msg : sub.client->TakeProgress(sub.handle)) {
-        std::printf("  [%s] %s\n", sub.bug_id.c_str(), msg.ToString().c_str());
-      }
-      if (!sub.client->done(sub.handle)) {
-        all_done = false;
-        continue;
-      }
-      if (sub.reported) {
-        continue;
-      }
-      sub.reported = true;
-      if (sub.client->failed(sub.handle)) {
-        std::printf("%-18s  REJECTED: %s\n", sub.bug_id.c_str(),
-                    sub.client->error_message(sub.handle).c_str());
-        failures++;
-        continue;
-      }
-      const rose::ServeJobResult& result = sub.client->result(sub.handle);
-      const char* how = result.cached ? "cache" : result.coalesced ? "coalesced" : "ran";
-      std::printf("%-18s  %s  L%d  RR=%3.0f%%  sched=%d runs=%d  (%s)  [%s]\n",
-                  sub.bug_id.c_str(), result.reproduced ? "REPRODUCED " : "NOT-REPRO  ",
-                  result.level, result.replay_rate, result.schedules, result.runs, how,
-                  result.fault_summary.c_str());
-      if (result.reproduced) {
-        const std::string path = out_dir + "/" + sub.bug_id + "-" +
-                                 std::to_string(seed) + ".yaml";
-        std::ofstream out(path, std::ios::binary);
-        out << result.schedule_yaml;
-        std::printf("  schedule -> %s\n", path.c_str());
-      } else {
-        failures++;
-      }
+    for (serve_demo::Submission& sub : submissions) {
+      all_done &= serve_demo::PollAndReport("rose_routerd", sub, seed, out_dir, &failures);
     }
     router.Poll();
     for (ShardProc& shard : shards) {

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 
 #include "src/trace/mmap_file.h"
@@ -42,6 +43,23 @@ bool GetLengthPrefixed(std::string_view* data, std::string_view* out) {
   *out = data->substr(0, static_cast<size_t>(len));
   data->remove_prefix(static_cast<size_t>(len));
   return true;
+}
+
+// Writes `bytes` to `fd`, resuming after short writes and EINTR; returns how
+// many bytes reached the file (fewer than bytes.size() only on an error).
+size_t WriteAll(int fd, std::string_view bytes) {
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      break;
+    }
+    written += static_cast<size_t>(n);
+  }
+  return written;
 }
 
 std::string StreamHeader() {
@@ -143,10 +161,9 @@ ClusterJournal::ClusterJournal(std::string path) : path_(std::move(path)) {
     const std::string header = StreamHeader();
     history_ = header;
     if (fd_ >= 0) {
-      (void)!::write(fd_, header.data(), header.size());
+      bytes_written_ += WriteAll(fd_, header);
       ::fsync(fd_);
       fsyncs_++;
-      bytes_written_ += header.size();
     }
   }
 }
@@ -244,20 +261,12 @@ void ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
   history_ += frame;
   appends_++;
   if (fd_ >= 0) {
-    size_t written = 0;
-    while (written < frame.size()) {
-      const ssize_t n = ::write(fd_, frame.data() + written, frame.size() - written);
-      if (n <= 0) {
-        break;
-      }
-      written += static_cast<size_t>(n);
-    }
-    bytes_written_ += written;
+    bytes_written_ += WriteAll(fd_, frame);
     ::fsync(fd_);
     fsyncs_++;
   }
   for (Follower& follower : followers_) {
-    follower.outbox.append(frame);
+    follower.outbox.Append(frame);
   }
 }
 
@@ -280,30 +289,20 @@ void ClusterJournal::AppendComplete(const CompleteRecord& record) {
 }
 
 void ClusterJournal::AttachFollower(std::shared_ptr<Transport> transport) {
-  Follower follower;
+  Follower& follower = followers_.emplace_back();
   follower.transport = std::move(transport);
-  follower.outbox = history_;  // Full history first, then tail.
-  followers_.push_back(std::move(follower));
+  follower.outbox.Append(history_);  // Full history first, then tail.
 }
 
 void ClusterJournal::PumpReplication() {
   for (Follower& follower : followers_) {
-    if (follower.sent >= follower.outbox.size()) {
-      continue;
-    }
-    const std::string_view rest =
-        std::string_view(follower.outbox).substr(follower.sent);
-    follower.sent += follower.transport->Write(rest);
-    if (follower.sent >= follower.outbox.size()) {
-      follower.outbox.clear();
-      follower.sent = 0;
-    }
+    follower.outbox.Flush(*follower.transport);
   }
 }
 
 bool ClusterJournal::replication_idle() const {
   for (const Follower& follower : followers_) {
-    if (follower.sent < follower.outbox.size()) {
+    if (!follower.outbox.empty()) {
       return false;
     }
   }
@@ -327,21 +326,14 @@ JournalFollower::~JournalFollower() {
 
 void JournalFollower::Poll() {
   for (;;) {
-    const std::string chunk = transport_->Read(16 * 1024);
+    const std::string chunk = transport_->Read(transport_->readable());
     if (chunk.empty()) {
       return;
     }
     bytes_received_ += chunk.size();
     bytes_ += chunk;
     if (fd_ >= 0) {
-      size_t written = 0;
-      while (written < chunk.size()) {
-        const ssize_t n = ::write(fd_, chunk.data() + written, chunk.size() - written);
-        if (n <= 0) {
-          break;
-        }
-        written += static_cast<size_t>(n);
-      }
+      WriteAll(fd_, chunk);
       ::fsync(fd_);
     }
   }

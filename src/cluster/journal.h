@@ -114,6 +114,7 @@ class ClusterJournal {
   // --- Counters (mirrored into cluster.journal_* metrics by the owner) ------
   uint64_t appends() const { return appends_; }
   uint64_t fsyncs() const { return fsyncs_; }
+  // Bytes that reached the journal file (0 for a memory-only journal).
   uint64_t bytes_written() const { return bytes_written_; }
 
   // --- Follower replication -------------------------------------------------
@@ -132,8 +133,7 @@ class ClusterJournal {
 
   struct Follower {
     std::shared_ptr<Transport> transport;
-    std::string outbox;
-    size_t sent = 0;
+    Outbox outbox;
   };
 
   std::string path_;

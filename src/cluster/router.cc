@@ -4,32 +4,19 @@
 #include <utility>
 
 #include "src/analyze/trace_validator.h"
+#include "src/common/hash.h"
 #include "src/serve/service.h"
 
 namespace rose {
 
 namespace {
-constexpr size_t kReadChunk = 16 * 1024;
 
 // Ring key for a stream session: the trace hash a submit would shard by does
 // not exist at open time, so the session's identity (bug, seed, client
 // token) places it instead. All of one session's bytes land on one shard;
 // only cross-submission cache affinity is weaker than the submit path.
 uint64_t StreamShardKey(std::string_view bug_id, uint64_t seed, uint64_t token) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bug_id) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  for (int i = 0; i < 8; i++) {
-    h ^= (seed >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  for (int i = 0; i < 8; i++) {
-    h ^= (token >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return FnvMix(FnvMix(FnvMix(kFnvOffset, bug_id), seed), token);
 }
 
 }  // namespace
@@ -75,11 +62,8 @@ ClusterRouter::ClusterRouter(RouterConfig config)
 }
 
 void ClusterRouter::AttachClient(std::shared_ptr<Transport> transport) {
-  auto conn = std::make_unique<ClientConn>();
-  conn->id = next_client_id_++;
-  conn->transport = std::move(transport);
-  AppendServeHeader(&conn->outbox);
-  clients_.emplace(conn->id, std::move(conn));
+  const uint64_t id = next_client_id_++;
+  clients_.emplace(id, std::make_unique<ClientConn>(id, std::move(transport)));
 }
 
 void ClusterRouter::AttachShard(const std::string& name,
@@ -90,11 +74,7 @@ void ClusterRouter::AttachShard(const std::string& name,
   if (ring_.AddShard(name)) {
     journal_.AppendRingEpoch(RingEpochRecord{ring_.epoch(), ring_.shards()});
   }
-  auto shard = std::make_unique<Shard>();
-  shard->name = name;
-  shard->transport = std::move(transport);
-  AppendServeHeader(&shard->outbox);  // The router is the shard's client.
-  shards_.emplace(name, std::move(shard));
+  shards_.emplace(name, std::make_unique<Shard>(name, std::move(transport)));
   DispatchStranded();
 }
 
@@ -106,7 +86,7 @@ void ClusterRouter::DetachShard(const std::string& name) {
 
 void ClusterRouter::Poll() {
   for (auto& [id, conn] : clients_) {
-    if (!conn->dead) {
+    if (!conn->peer.dead()) {
       ReadClient(*conn);
     }
   }
@@ -117,7 +97,7 @@ void ClusterRouter::Poll() {
   std::vector<std::string> dead_shards;
   for (auto& [name, shard] : shards_) {
     ReadShard(*shard);
-    if (shard->transport->AtEof()) {
+    if (shard->peer.transport().AtEof()) {
       dead_shards.push_back(name);
     }
   }
@@ -130,11 +110,11 @@ void ClusterRouter::Poll() {
   // reaped once its admission FIFO drains.
   std::vector<uint64_t> gone;
   for (auto& [id, conn] : clients_) {
-    if (!conn->dead && conn->transport->AtEof()) {
-      conn->dead = true;
+    if (!conn->peer.dead() && conn->peer.transport().AtEof()) {
+      conn->peer.MarkDead();
     }
     FlushClientFifo(*conn);
-    if (conn->dead && conn->accept_fifo.empty()) {
+    if (conn->peer.dead() && conn->accept_fifo.empty()) {
       gone.push_back(id);
     }
   }
@@ -142,7 +122,12 @@ void ClusterRouter::Poll() {
     clients_.erase(id);
   }
 
-  FlushOutboxes();
+  for (auto& [id, conn] : clients_) {
+    conn->peer.Flush();
+  }
+  for (auto& [name, shard] : shards_) {
+    shard->peer.Flush();
+  }
   journal_.PumpReplication();
   UpdateDepthGauges();
 }
@@ -160,12 +145,12 @@ bool ClusterRouter::idle() const {
     return false;
   }
   for (const auto& [id, conn] : clients_) {
-    if (!conn->dead && conn->outbox_sent < conn->outbox.size()) {
+    if (!conn->peer.idle()) {
       return false;
     }
   }
   for (const auto& [name, shard] : shards_) {
-    if (shard->outbox_sent < shard->outbox.size()) {
+    if (!shard->peer.idle()) {
       return false;
     }
   }
@@ -173,16 +158,10 @@ bool ClusterRouter::idle() const {
 }
 
 void ClusterRouter::ReadClient(ClientConn& conn) {
-  for (;;) {
-    const std::string chunk = conn.transport->Read(kReadChunk);
-    if (chunk.empty()) {
-      break;
-    }
-    conn.decoder.Feed(chunk);
-  }
+  conn.peer.Pull();
   DecodedFrame frame;
   for (;;) {
-    switch (conn.decoder.Next(&frame)) {
+    switch (conn.peer.Next(&frame)) {
       case FrameDecoder::Status::kNeedMore:
         return;
       case FrameDecoder::Status::kFrame:
@@ -207,18 +186,13 @@ void ClusterRouter::ReadClient(ClientConn& conn) {
         RejectSubmit(conn, ServeError::kBadFrame,
                      "frame failed its CRC32 and was skipped; resend the submission");
         break;
-      case FrameDecoder::Status::kBadStream: {
-        AppendServeFrame(&conn.outbox, ServeFrame::kError,
-                         EncodeError(ErrorMsg{0, ServeError::kVersionMismatch,
-                                              "bad stream header or unsupported "
-                                              "protocol version"}));
-        conn.dead = true;
-        const std::string_view rest =
-            std::string_view(conn.outbox).substr(conn.outbox_sent);
-        conn.outbox_sent += conn.transport->Write(rest);
-        conn.transport->Close();
+      case FrameDecoder::Status::kBadStream:
+        conn.peer.Send(ServeFrame::kError,
+                       EncodeError(ErrorMsg{0, ServeError::kVersionMismatch,
+                                            "bad stream header or unsupported "
+                                            "protocol version"}));
+        conn.peer.Close();
         return;
-      }
     }
   }
 }
@@ -307,7 +281,7 @@ void ClusterRouter::HandleStreamOpen(ClientConn& conn, std::string_view payload)
   stats_.jobs_routed++;
   metrics_.jobs_routed->Inc();
   Shard& shard = *shards_.at(owner);
-  AppendServeFrame(&shard.outbox, ServeFrame::kStreamOpen, std::string(payload));
+  shard.peer.Send(ServeFrame::kStreamOpen, payload);
   shard.accept_fifo.push_back(job->id);
   job->shard = owner;
   jobs_.emplace(job->id, std::move(job));
@@ -330,8 +304,8 @@ void ClusterRouter::HandleStreamData(ClientConn& conn, std::string_view payload)
   }
   // Rewrite the varint job-id prefix into the backend's namespace; the chunk
   // bytes are forwarded untouched.
-  AppendServeFrame(&sit->second->outbox, ServeFrame::kStreamData,
-                   EncodeStreamData(it->second->backend_job_id, chunk));
+  sit->second->peer.Send(ServeFrame::kStreamData,
+                         EncodeStreamData(it->second->backend_job_id, chunk));
 }
 
 void ClusterRouter::HandleStreamClose(ClientConn& conn, std::string_view payload) {
@@ -346,8 +320,8 @@ void ClusterRouter::HandleStreamClose(ClientConn& conn, std::string_view payload
   RouterJob& job = *it->second;
   if (auto sit = shards_.find(job.shard); sit != shards_.end()) {
     if (job.backend_job_id != 0) {
-      AppendServeFrame(&sit->second->outbox, ServeFrame::kStreamClose,
-                       EncodeStreamClose(StreamCloseMsg{job.backend_job_id}));
+      sit->second->peer.Send(ServeFrame::kStreamClose,
+                             EncodeStreamClose(StreamCloseMsg{job.backend_job_id}));
       sit->second->by_backend_id.erase(job.backend_job_id);
     }
   }
@@ -371,7 +345,7 @@ void ClusterRouter::RejectSubmit(ClientConn& conn, ServeError code,
 }
 
 void ClusterRouter::DispatchTo(RouterJob& job, Shard& shard) {
-  AppendServeFrame(&shard.outbox, ServeFrame::kSubmit, job.payload);
+  shard.peer.Send(ServeFrame::kSubmit, job.payload);
   shard.accept_fifo.push_back(job.id);
   shard.inflight++;
   job.shard = shard.name;
@@ -379,16 +353,10 @@ void ClusterRouter::DispatchTo(RouterJob& job, Shard& shard) {
 }
 
 void ClusterRouter::ReadShard(Shard& shard) {
-  for (;;) {
-    const std::string chunk = shard.transport->Read(kReadChunk);
-    if (chunk.empty()) {
-      break;
-    }
-    shard.decoder.Feed(chunk);
-  }
+  shard.peer.Pull();
   DecodedFrame frame;
   for (;;) {
-    switch (shard.decoder.Next(&frame)) {
+    switch (shard.peer.Next(&frame)) {
       case FrameDecoder::Status::kNeedMore:
         return;
       case FrameDecoder::Status::kFrame:
@@ -400,7 +368,7 @@ void ClusterRouter::ReadShard(Shard& shard) {
         break;
       case FrameDecoder::Status::kBadStream:
         // A shard speaking a different protocol is as dead as a crashed one.
-        shard.transport->Close();
+        shard.peer.transport().Close();
         return;
     }
   }
@@ -708,41 +676,6 @@ void ClusterRouter::FinishJob(uint64_t job_id) {
   jobs_.erase(job_id);
 }
 
-void ClusterRouter::FlushOutboxes() {
-  for (auto& [id, conn] : clients_) {
-    if (conn->dead || conn->outbox_sent >= conn->outbox.size()) {
-      continue;
-    }
-    const std::string_view rest =
-        std::string_view(conn->outbox).substr(conn->outbox_sent);
-    conn->outbox_sent += conn->transport->Write(rest);
-    if (conn->outbox_sent >= conn->outbox.size()) {
-      conn->outbox.clear();
-      conn->outbox_sent = 0;
-    } else if (conn->outbox_sent > 64 * 1024 &&
-               conn->outbox_sent * 2 >= conn->outbox.size()) {
-      conn->outbox.erase(0, conn->outbox_sent);
-      conn->outbox_sent = 0;
-    }
-  }
-  for (auto& [name, shard] : shards_) {
-    if (shard->outbox_sent >= shard->outbox.size()) {
-      continue;
-    }
-    const std::string_view rest =
-        std::string_view(shard->outbox).substr(shard->outbox_sent);
-    shard->outbox_sent += shard->transport->Write(rest);
-    if (shard->outbox_sent >= shard->outbox.size()) {
-      shard->outbox.clear();
-      shard->outbox_sent = 0;
-    } else if (shard->outbox_sent > 64 * 1024 &&
-               shard->outbox_sent * 2 >= shard->outbox.size()) {
-      shard->outbox.erase(0, shard->outbox_sent);
-      shard->outbox_sent = 0;
-    }
-  }
-}
-
 void ClusterRouter::UpdateDepthGauges() {
   // The journal keeps running totals; advance the process-wide counters by
   // what this router's journal wrote since the last publish.
@@ -770,12 +703,11 @@ void ClusterRouter::UpdateDepthGauges() {
 }
 
 void ClusterRouter::SendToClient(uint64_t client_id, ServeFrame kind,
-                                 const std::string& payload) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end() || it->second->dead) {
-    return;  // Subscriber gone; the journal still completed the job.
+                                 std::string_view payload) {
+  // A gone subscriber drops the frame; the journal still completed the job.
+  if (auto it = clients_.find(client_id); it != clients_.end()) {
+    it->second->peer.Send(kind, payload);
   }
-  AppendServeFrame(&it->second->outbox, kind, payload);
 }
 
 StatsMsg ClusterRouter::BuildStats() const {

@@ -116,23 +116,22 @@ class ClusterRouter {
 
  private:
   struct ClientConn {
+    ClientConn(uint64_t id, std::shared_ptr<Transport> transport)
+        : id(id), peer(std::move(transport)) {}
+
     uint64_t id = 0;
-    std::shared_ptr<Transport> transport;
-    FrameDecoder decoder;
-    std::string outbox;
-    size_t outbox_sent = 0;
-    bool dead = false;
+    ServePeer peer;
     // Router job ids in submission order — the FIFO the admission responses
     // must be flushed in.
     std::deque<uint64_t> accept_fifo;
   };
 
   struct Shard {
+    Shard(std::string name, std::shared_ptr<Transport> transport)
+        : name(std::move(name)), peer(std::move(transport)) {}
+
     std::string name;
-    std::shared_ptr<Transport> transport;
-    FrameDecoder decoder;
-    std::string outbox;
-    size_t outbox_sent = 0;
+    ServePeer peer;  // The router is the shard's client.
     // Router job ids in dispatch order — correlates the backend's FIFO
     // admission responses.
     std::deque<uint64_t> accept_fifo;
@@ -182,7 +181,7 @@ class ClusterRouter {
   void RejectSubmit(ClientConn& conn, ServeError code, const std::string& message);
   void ReadShard(Shard& shard);
   void HandleShardFrame(Shard& shard, DecodedFrame frame);
-  // Appends the job's submit frame to `shard`'s outbox and bookkeeps.
+  // Queues the job's submit frame to `shard` and bookkeeps.
   void DispatchTo(RouterJob& job, Shard& shard);
   void OnShardDead(const std::string& name);
   // Dispatches jobs with no owner to the current ring owner (after a shard
@@ -192,9 +191,8 @@ class ClusterRouter {
   // order; erases finished jobs.
   void FlushClientFifo(ClientConn& conn);
   void FinishJob(uint64_t job_id);
-  void FlushOutboxes();
   void UpdateDepthGauges();
-  void SendToClient(uint64_t client_id, ServeFrame kind, const std::string& payload);
+  void SendToClient(uint64_t client_id, ServeFrame kind, std::string_view payload);
 
   RouterConfig config_;
   ClusterStats stats_;

@@ -71,6 +71,20 @@ class PipeEndpoint : public Transport {
 
 }  // namespace
 
+void Outbox::Flush(Transport& transport) {
+  if (empty()) {
+    return;
+  }
+  sent_ += transport.Write(std::string_view(buffer_).substr(sent_));
+  if (sent_ >= buffer_.size()) {
+    buffer_.clear();
+    sent_ = 0;
+  } else if (sent_ > 64 * 1024 && sent_ * 2 >= buffer_.size()) {
+    buffer_.erase(0, sent_);
+    sent_ = 0;
+  }
+}
+
 std::pair<std::shared_ptr<Transport>, std::shared_ptr<Transport>> MakePipePair(
     size_t capacity) {
   auto a_to_b = std::make_shared<PipeBuffer>();

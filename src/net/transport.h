@@ -64,6 +64,31 @@ class Transport {
 
 inline constexpr size_t kDefaultTransportCapacity = 64 * 1024;
 
+// Bytes waiting for a Transport that accepts them a short write at a time.
+// Framing-agnostic: the serve protocol and journal replication queue their
+// own encodings. The already-sent prefix is dropped once the whole queue is
+// out, or compacted away once it passes 64 KiB and is at least half the
+// buffer, so a long-lived connection's queue stays bounded by what it lags.
+class Outbox {
+ public:
+  void Append(std::string_view bytes) { buffer_.append(bytes.data(), bytes.size()); }
+  // The buffer's tail, for encoders that append in place (e.g.
+  // AppendServeFrame). Only appending is allowed.
+  std::string* tail() { return &buffer_; }
+
+  // Writes as much of the unsent remainder as `transport` accepts.
+  void Flush(Transport& transport);
+
+  bool empty() const { return sent_ >= buffer_.size(); }
+  // Bytes held in memory: the unsent remainder plus any sent prefix not yet
+  // compacted away.
+  size_t footprint() const { return buffer_.size(); }
+
+ private:
+  std::string buffer_;
+  size_t sent_ = 0;
+};
+
 // A connected endpoint pair sharing two bounded buffers (a.Write -> b.Read
 // and vice versa). `capacity` bounds each direction independently.
 std::pair<std::shared_ptr<Transport>, std::shared_ptr<Transport>> MakePipePair(

@@ -1,50 +1,28 @@
 #include "src/serve/client.h"
 
 #include "src/analyze/trace_validator.h"
+#include "src/common/hash.h"
 
 namespace rose {
 namespace {
 
-// Chunk size for transport reads; small enough to exercise reassembly.
-constexpr size_t kReadChunk = 16 * 1024;
-
-// splitmix64 finalizer: full-avalanche mixing for the deterministic retry
+// One SplitMix64 step: full-avalanche mixing for the deterministic retry
 // jitter (no global RNG, no wall clock — replays byte-identically).
-uint64_t MixJitter(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-// FNV-1a over a short string (bug ids, tags) for token derivation.
-uint64_t FnvMix(uint64_t seed, std::string_view s) {
-  uint64_t h = seed ^ 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+uint64_t MixJitter(uint64_t x) { return Mix64(x + 0x9e3779b97f4a7c15ULL); }
 
 // Idempotency token for a submission: the blob's canonical hash (encoding-
 // independent — a resend of the same window matches even if re-encoded)
 // mixed with bug id and seed so two jobs over one dump stay distinct.
 // Always nonzero: 0 means "no token" on the wire.
 uint64_t SubmitToken(uint64_t trace_hash, std::string_view bug_id, uint64_t seed) {
-  const uint64_t token = MixJitter(FnvMix(trace_hash, bug_id) ^ seed);
+  const uint64_t token = MixJitter(FnvMix(trace_hash ^ kFnvOffset, bug_id) ^ seed);
   return token == 0 ? 1 : token;
 }
 
 }  // namespace
 
 ServeClient::ServeClient(std::shared_ptr<Transport> transport, ServeClientConfig config)
-    : transport_(std::move(transport)), config_(config) {
-  AppendServeHeader(&outbox_);
-}
+    : peer_(std::move(transport)), config_(config) {}
 
 uint64_t ServeClient::Submit(const SubmitRequest& request) {
   const uint64_t token =
@@ -72,7 +50,7 @@ uint64_t ServeClient::SubmitEncoded(std::string encoded, uint64_t token) {
   job.encoded = std::move(encoded);
   job.token = token;
   job.state = JobState::kAwaitingAccept;
-  AppendServeFrame(&outbox_, ServeFrame::kSubmit, job.encoded);
+  peer_.Send(ServeFrame::kSubmit, job.encoded);
   accept_fifo_.push_back(handle);
   return handle;
 }
@@ -93,7 +71,7 @@ uint64_t ServeClient::OpenStream(std::string_view bug_id, uint64_t seed, std::st
   msg.token = job.token;
   job.encoded = EncodeStreamOpen(msg);
   job.state = JobState::kAwaitingAccept;
-  AppendServeFrame(&outbox_, ServeFrame::kStreamOpen, job.encoded);
+  peer_.Send(ServeFrame::kStreamOpen, job.encoded);
   accept_fifo_.push_back(handle);
   return handle;
 }
@@ -114,8 +92,7 @@ void ServeClient::StreamData(uint64_t handle, std::string_view bytes) {
   if (job.state != JobState::kAccepted && job.state != JobState::kDone) {
     return;
   }
-  AppendServeFrame(&outbox_, ServeFrame::kStreamData,
-                   EncodeStreamData(job.server_job_id, bytes));
+  peer_.Send(ServeFrame::kStreamData, EncodeStreamData(job.server_job_id, bytes));
 }
 
 void ServeClient::CloseStream(uint64_t handle) {
@@ -131,8 +108,7 @@ void ServeClient::CloseStream(uint64_t handle) {
   if (job.state != JobState::kAccepted && job.state != JobState::kDone) {
     return;  // Never accepted, or already failed.
   }
-  AppendServeFrame(&outbox_, ServeFrame::kStreamClose,
-                   EncodeStreamClose(StreamCloseMsg{job.server_job_id}));
+  peer_.Send(ServeFrame::kStreamClose, EncodeStreamClose(StreamCloseMsg{job.server_job_id}));
 }
 
 bool ServeClient::stream_accepted(uint64_t handle) const {
@@ -163,7 +139,7 @@ int ServeClient::BackoffRounds(const PendingJob& job) const {
 }
 
 void ServeClient::RequestStats() {
-  AppendServeFrame(&outbox_, ServeFrame::kStatsRequest, "");
+  peer_.Send(ServeFrame::kStatsRequest, "");
 }
 
 void ServeClient::Poll() {
@@ -182,38 +158,18 @@ void ServeClient::Poll() {
       continue;
     }
     job.state = JobState::kAwaitingAccept;
-    AppendServeFrame(&outbox_,
-                     job.is_stream ? ServeFrame::kStreamOpen : ServeFrame::kSubmit,
-                     job.encoded);
+    peer_.Send(job.is_stream ? ServeFrame::kStreamOpen : ServeFrame::kSubmit, job.encoded);
     accept_fifo_.push_back(handle);
     retries_performed_++;
   }
 
-  // Flush as much of the outbox as the transport accepts (short writes mean
-  // the pipe is full; the remainder goes out on a later Poll()).
-  if (outbox_sent_ < outbox_.size() && transport_->writable()) {
-    std::string_view rest(outbox_.data() + outbox_sent_, outbox_.size() - outbox_sent_);
-    outbox_sent_ += transport_->Write(rest);
-    if (outbox_sent_ == outbox_.size()) {
-      outbox_.clear();
-      outbox_sent_ = 0;
-    } else if (outbox_sent_ > 64 * 1024 && outbox_sent_ >= outbox_.size() / 2) {
-      outbox_.erase(0, outbox_sent_);
-      outbox_sent_ = 0;
-    }
-  }
-
-  // Pull inbound bytes and process every complete frame.
-  while (transport_->readable()) {
-    std::string chunk = transport_->Read(kReadChunk);
-    if (chunk.empty()) {
-      break;
-    }
-    decoder_.Feed(chunk);
-  }
+  // Short writes mean the pipe is full; the remainder goes out on a later
+  // Poll(). Then process every complete inbound frame.
+  peer_.Flush();
+  peer_.Pull();
   DecodedFrame frame;
   for (;;) {
-    FrameDecoder::Status status = decoder_.Next(&frame);
+    FrameDecoder::Status status = peer_.Next(&frame);
     if (status == FrameDecoder::Status::kNeedMore) {
       break;
     }
@@ -389,14 +345,14 @@ void ServeClient::HandleAccepted(const AcceptedMsg& msg) {
   job->accept_kind = msg.kind;
   if (job->is_stream) {
     if (!job->stream_staged.empty()) {
-      AppendServeFrame(&outbox_, ServeFrame::kStreamData,
-                       EncodeStreamData(job->server_job_id, job->stream_staged));
+      peer_.Send(ServeFrame::kStreamData,
+                 EncodeStreamData(job->server_job_id, job->stream_staged));
       job->stream_staged.clear();
       job->stream_staged.shrink_to_fit();
     }
     if (job->close_requested) {
-      AppendServeFrame(&outbox_, ServeFrame::kStreamClose,
-                       EncodeStreamClose(StreamCloseMsg{job->server_job_id}));
+      peer_.Send(ServeFrame::kStreamClose,
+                 EncodeStreamClose(StreamCloseMsg{job->server_job_id}));
     }
   }
 }

@@ -167,11 +167,8 @@ class ServeClient {
   PendingJob* ByServerJobId(uint64_t job_id);
   const PendingJob& Get(uint64_t handle) const;
 
-  std::shared_ptr<Transport> transport_;
+  ServePeer peer_;
   ServeClientConfig config_;
-  FrameDecoder decoder_;
-  std::string outbox_;
-  size_t outbox_sent_ = 0;
   std::map<uint64_t, PendingJob> jobs_;
   // Submission order on the wire — the server's response order.
   std::deque<uint64_t> accept_fifo_;

@@ -149,6 +149,42 @@ void FrameDecoder::Compact() {
   }
 }
 
+ServePeer::ServePeer(std::shared_ptr<Transport> transport)
+    : transport_(std::move(transport)) {
+  AppendServeHeader(outbox_.tail());
+}
+
+void ServePeer::Pull() {
+  // Bounded reads, like a socket drain loop; small enough that big frames
+  // exercise the decoder's reassembly.
+  constexpr size_t kReadChunk = 16 * 1024;
+  for (;;) {
+    const std::string chunk = transport_->Read(kReadChunk);
+    if (chunk.empty()) {
+      return;
+    }
+    decoder_.Feed(chunk);
+  }
+}
+
+void ServePeer::Send(ServeFrame kind, std::string_view payload) {
+  if (!dead_) {
+    AppendServeFrame(outbox_.tail(), kind, payload);
+  }
+}
+
+void ServePeer::Flush() {
+  if (!dead_) {
+    outbox_.Flush(*transport_);
+  }
+}
+
+void ServePeer::Close() {
+  Flush();
+  dead_ = true;
+  transport_->Close();
+}
+
 // --- Message codecs ----------------------------------------------------------
 
 std::string EncodeSubmitBlob(std::string_view bug_id, uint64_t seed, std::string_view tag,

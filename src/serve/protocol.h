@@ -34,11 +34,13 @@
 #define SRC_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/analyze/diagnostic.h"
+#include "src/net/transport.h"
 #include "src/profile/profiler.h"
 #include "src/trace/event.h"
 
@@ -328,6 +330,44 @@ class FrameDecoder {
   std::string buffer_;
   size_t consumed_ = 0;
   bool header_done_ = false;
+  bool dead_ = false;
+};
+
+// One end of a serve connection — the pump every endpoint (service, router,
+// client) shares: the transport, a FrameDecoder for what arrives and an
+// Outbox for what leaves. The RSRV header is queued at construction, so the
+// first Flush() greets the peer.
+class ServePeer {
+ public:
+  explicit ServePeer(std::shared_ptr<Transport> transport);
+
+  // Drains every byte the transport has buffered into the decoder.
+  void Pull();
+  // The next decoded frame (FrameDecoder::Next semantics).
+  FrameDecoder::Status Next(DecodedFrame* out) { return decoder_.Next(out); }
+
+  // Queues one frame; a no-op once the peer is dead.
+  void Send(ServeFrame kind, std::string_view payload);
+  // Writes what the transport accepts of the queue; a no-op once dead.
+  void Flush();
+
+  // Flushes what the transport accepts, then marks the peer dead and
+  // half-closes the transport (a connection-fatal error's last frame).
+  void Close();
+  // Marks the peer dead without writing anything more (the other side went
+  // away); whatever is still queued is dropped.
+  void MarkDead() { dead_ = true; }
+  bool dead() const { return dead_; }
+  // Nothing left to send: the queue is empty, or the peer is dead.
+  bool idle() const { return dead_ || outbox_.empty(); }
+
+  Transport& transport() const { return *transport_; }
+  const Outbox& outbox() const { return outbox_; }
+
+ private:
+  std::shared_ptr<Transport> transport_;
+  FrameDecoder decoder_;
+  Outbox outbox_;
   bool dead_ = false;
 };
 

@@ -126,15 +126,6 @@ class DiagnosisService {
   static uint64_t JobKey(uint64_t trace_hash, std::string_view bug_id, uint64_t seed);
 
  private:
-  struct Connection {
-    uint64_t id = 0;
-    std::shared_ptr<Transport> transport;
-    FrameDecoder decoder;
-    std::string outbox;
-    size_t outbox_sent = 0;
-    bool dead = false;
-  };
-
   struct Job {
     uint64_t id = 0;
     uint64_t key = 0;
@@ -169,11 +160,10 @@ class DiagnosisService {
     DiagnosisResult result;
   };
 
-  void ReadConnection(Connection& conn);
-  // Takes the frame payload by value: the envelope adopts it, so the trace
-  // blob is never copied on its way to the hash or the job.
-  void HandleSubmit(Connection& conn, std::string payload);
-  // The admission chain shared by kSubmit and stream-oracle admissions:
+  void ReadConnection(uint64_t conn_id, ServePeer& peer);
+  // The admission chain shared by kSubmit and stream-oracle admissions. Takes
+  // the frame payload by value: the envelope adopts it, so the trace blob is
+  // never copied on its way to the hash or the job. The chain:
   // decode → bug lookup → streaming canonical hash → cache / coalesce /
   // validate / queue. `reply_job_id` != 0 means the caller already owns a
   // client-visible id (a stream session): no kAccepted is sent, and every
@@ -181,26 +171,25 @@ class DiagnosisService {
   // with that id. `oracle_at` carries the oracle arrival time so the
   // stream.oracle_to_candidate_ns histogram can be recorded at the first
   // candidate (or immediately, on a cache hit).
-  void AdmitSubmission(Connection& conn, std::string payload, uint64_t reply_job_id,
+  void AdmitSubmission(uint64_t conn_id, std::string payload, uint64_t reply_job_id,
                        std::optional<std::chrono::steady_clock::time_point> oracle_at);
-  void HandleStreamOpen(Connection& conn, std::string_view payload);
-  void HandleStreamData(Connection& conn, std::string_view payload);
-  void HandleStreamClose(Connection& conn, std::string_view payload);
+  void HandleStreamOpen(uint64_t conn_id, std::string_view payload);
+  void HandleStreamData(uint64_t conn_id, std::string_view payload);
+  void HandleStreamClose(uint64_t conn_id, std::string_view payload);
   // Oracle mark latched on a session: materialize its window and admit the
   // blob as a diagnosis under the session's job id.
-  void AdmitStreamOracle(Connection& conn, uint64_t session_id);
+  void AdmitStreamOracle(uint64_t conn_id, uint64_t session_id);
   // Transition-edged kThrottle emission: on when a session dropped events
   // since the last poll, off when a poll passes clean. Called from Poll().
   void PollStreamSessions();
   void CloseStreamSessionsFor(uint64_t conn_id);
   void StartJobs();
   void HarvestJobs();
-  void FlushConnections();
 
-  void SendFrame(uint64_t conn_id, ServeFrame kind, const std::string& payload);
+  void SendFrame(uint64_t conn_id, ServeFrame kind, std::string_view payload);
   // `job_id` 0 = pre-admission rejection (FIFO-correlated at the client);
   // nonzero names the job/session the error belongs to.
-  void SendError(Connection& conn, ServeError code, const std::string& message,
+  void SendError(uint64_t conn_id, ServeError code, const std::string& message,
                  uint64_t job_id = 0);
   // kProgress to every subscriber of `job`.
   void BroadcastProgress(const Job& job, const ProgressMsg& msg);
@@ -261,7 +250,7 @@ class DiagnosisService {
   // one job). Resolved — and recorded into stream.oracle_to_candidate_ns — at
   // the first kCandidate progress, or at completion as a fallback.
   std::multimap<uint64_t, std::chrono::steady_clock::time_point> stream_oracle_pending_;
-  std::map<uint64_t, std::unique_ptr<Connection>> connections_;
+  std::map<uint64_t, ServePeer> connections_;
   std::map<uint64_t, std::unique_ptr<Job>> jobs_;
   // In-flight dedup: key -> job id for every job not yet completed.
   std::map<uint64_t, uint64_t> inflight_by_key_;

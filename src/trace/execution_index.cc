@@ -1,29 +1,14 @@
 #include "src/trace/execution_index.h"
 
+#include "src/common/hash.h"
+
 namespace rose {
 
 namespace {
 
-// SplitMix64 finalizer — a strong 64-bit avalanche used to mix chain links
-// and to combine the sequence-key fields. Order-sensitivity comes from
-// re-mixing the running value before each new link is folded in.
-uint64_t Mix(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t Fold(uint64_t h, uint64_t v) { return Mix(h + 0x9e3779b97f4a7c15ULL + v); }
-
-uint64_t HashBytes(std::string_view s) {
-  // FNV-1a, the same scheme the canonical trace hash uses.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+// Mixes chain links and combines the sequence-key fields. Order-sensitivity
+// comes from re-mixing the running value before each new link is folded in.
+uint64_t Fold(uint64_t h, uint64_t v) { return Mix64(h + 0x9e3779b97f4a7c15ULL + v); }
 
 }  // namespace
 
@@ -66,7 +51,7 @@ uint64_t ExecutionIndexTracker::SeqKey(NodeId node, uint64_t digest, Sys sys,
   uint64_t h = digest;
   h = Fold(h, static_cast<uint64_t>(static_cast<uint32_t>(node)));
   h = Fold(h, static_cast<uint64_t>(static_cast<int32_t>(sys)));
-  h = Fold(h, HashBytes(input));
+  h = Fold(h, FnvMix(kFnvOffset, input));
   return h;
 }
 

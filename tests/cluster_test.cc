@@ -406,6 +406,8 @@ TEST(ClusterRouterTest, JournalCountersAdvanceByWhatTheJournalWrote) {
   const ClusterJournal& journal = cluster.router.journal();
   ASSERT_GT(journal.appends(), 0u);
   ASSERT_GT(journal.fsyncs(), 0u);
+  // Header included: every byte counted is a byte on disk.
+  EXPECT_EQ(journal.bytes_written(), std::filesystem::file_size(journal_path));
 #if ROSE_OBS_ENABLED
   EXPECT_EQ(appends->value() - appends_before, journal.appends());
   EXPECT_EQ(fsyncs->value() - fsyncs_before, journal.fsyncs());

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
@@ -119,6 +120,22 @@ TEST(OrderedBatchTest, AbandonSkipsTasksThatHaveNotStarted) {
     // other eight.
   }
   EXPECT_EQ(executed.load(), 2);
+}
+
+// Cache keys, ring placement, canonical hashes and execution-index digests
+// are all built from these two primitives and travel on the wire and on
+// disk, so their outputs are pinned to the published reference values.
+TEST(HashTest, FnvAndMix64MatchReferenceValues) {
+  EXPECT_EQ(FnvMix(kFnvOffset, std::string_view()), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(FnvMix(kFnvOffset, std::string_view("a")), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(FnvMix(kFnvOffset, std::string_view("foobar")), 0x85944171f73967e8ULL);
+  // The word overload folds the eight bytes least significant first.
+  EXPECT_EQ(FnvMix(kFnvOffset, uint64_t{0x61}),
+            FnvMix(kFnvOffset, std::string_view("a\0\0\0\0\0\0\0", 8)));
+  // SplitMix64's first output from state 0.
+  EXPECT_EQ(Mix64(0x9e3779b97f4a7c15ULL), 0xe220a8397b1dcdafULL);
+  uint64_t state = 0;
+  EXPECT_EQ(SplitMix64(state), 0xe220a8397b1dcdafULL);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

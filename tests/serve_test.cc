@@ -158,6 +158,93 @@ TEST(ServeProtocolTest, NewerVersionIsRejected) {
   EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Status::kBadStream);
 }
 
+// --- ServePeer: the connection pump every endpoint shares -------------------
+
+TEST(ServePeerTest, HeaderIsQueuedAtConstruction) {
+  auto [a_end, b_end] = MakePipePair();
+  ServePeer peer(a_end);
+  std::string header;
+  AppendServeHeader(&header);
+  EXPECT_FALSE(peer.idle());
+  EXPECT_EQ(peer.outbox().footprint(), header.size());
+  peer.Flush();
+  EXPECT_TRUE(peer.idle());
+  EXPECT_EQ(b_end->Read(64), header);
+}
+
+TEST(ServePeerTest, LargeFrameCrossesASmallPipeByteIdentical) {
+  auto [a_end, b_end] = MakePipePair(/*capacity=*/1024);
+  ServePeer sender(a_end);
+  ServePeer receiver(b_end);
+  std::string payload(200 * 1024, '\0');
+  for (size_t i = 0; i < payload.size(); i++) {
+    payload[i] = static_cast<char>((i * 131) % 251);
+  }
+  sender.Send(ServeFrame::kSubmit, payload);
+
+  DecodedFrame frame;
+  FrameDecoder::Status status = FrameDecoder::Status::kNeedMore;
+  int rounds = 0;
+  for (; rounds < 10000 && status == FrameDecoder::Status::kNeedMore; rounds++) {
+    sender.Flush();
+    receiver.Pull();
+    status = receiver.Next(&frame);
+  }
+  ASSERT_EQ(status, FrameDecoder::Status::kFrame);
+  EXPECT_EQ(frame.kind, ServeFrame::kSubmit);
+  EXPECT_EQ(frame.payload, payload);
+  EXPECT_GT(rounds, 200);  // At most 1 KiB crossed per round.
+  EXPECT_TRUE(sender.idle());
+  EXPECT_EQ(sender.outbox().footprint(), 0u);
+}
+
+TEST(ServePeerTest, OutboxCompactsOnceMoreThan64KiBIsSent) {
+  auto [a_end, b_end] = MakePipePair(/*capacity=*/1024);
+  Outbox outbox;
+  const std::string bytes(100 * 1024, 'x');
+  outbox.Append(bytes);
+  size_t sent = 0;
+  while (sent <= 64 * 1024) {
+    EXPECT_EQ(outbox.footprint(), bytes.size());  // Sent prefix still held.
+    outbox.Flush(*a_end);
+    sent += b_end->Read(1024).size();
+  }
+  // The first flush past 64 KiB (and past half the buffer) drops the prefix.
+  EXPECT_EQ(outbox.footprint(), bytes.size() - sent);
+  while (!outbox.empty()) {
+    outbox.Flush(*a_end);
+    sent += b_end->Read(1024).size();
+  }
+  EXPECT_EQ(sent, bytes.size());
+  EXPECT_EQ(outbox.footprint(), 0u);
+}
+
+TEST(ServePeerTest, DeadPeerQueuesAndSendsNothing) {
+  auto [a_end, b_end] = MakePipePair();
+  ServePeer peer(a_end);
+  peer.MarkDead();
+  const size_t held = peer.outbox().footprint();
+  peer.Send(ServeFrame::kStatsRequest, "");
+  EXPECT_EQ(peer.outbox().footprint(), held);
+  EXPECT_TRUE(peer.idle());
+  peer.Flush();
+  EXPECT_EQ(b_end->readable(), 0u);  // Not even the queued header.
+
+  // Close() is the other way to die: it flushes what is queued first, then
+  // half-closes, so the peer's last frame still arrives.
+  auto [c_end, d_end] = MakePipePair();
+  ServePeer closing(c_end);
+  closing.Send(ServeFrame::kError, EncodeError(ErrorMsg{0, ServeError::kBadFrame, "x"}));
+  closing.Close();
+  EXPECT_TRUE(closing.dead());
+  ServePeer reader(d_end);
+  reader.Pull();
+  DecodedFrame frame;
+  ASSERT_EQ(reader.Next(&frame), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(frame.kind, ServeFrame::kError);
+  EXPECT_TRUE(d_end->AtEof());
+}
+
 TEST(ServeProtocolTest, SubmitRoundTripPreservesTraceAndProfile) {
   const BugSpec* spec = FindBug("RedisRaft-42");
   ASSERT_NE(spec, nullptr);

@@ -370,25 +370,19 @@ TEST(StreamIngestorTest, EvictionWithoutSpillDropsOldestButStreamSurvives) {
 // service deciding the timeline.
 class FakeServer {
  public:
-  explicit FakeServer(std::shared_ptr<Transport> end) : end_(std::move(end)) {
-    AppendServeHeader(&outbox_);
-  }
+  explicit FakeServer(std::shared_ptr<Transport> end) : peer_(std::move(end)) {}
 
-  void Send(ServeFrame kind, std::string_view payload) {
-    AppendServeFrame(&outbox_, kind, payload);
-  }
+  void Send(ServeFrame kind, std::string_view payload) { peer_.Send(kind, payload); }
 
   // Moves bytes both ways until the wire is quiet.
   void Pump(ServeClient& client) {
     for (int round = 0; round < 64; round++) {
       client.Poll();
-      if (outbox_sent_ < outbox_.size()) {
-        outbox_sent_ += end_->Write(std::string_view(outbox_).substr(outbox_sent_));
-      }
-      decoder_.Feed(end_->Read(64 * 1024));
+      peer_.Flush();
+      peer_.Pull();
       for (;;) {
         DecodedFrame frame;
-        const FrameDecoder::Status status = decoder_.Next(&frame);
+        const FrameDecoder::Status status = peer_.Next(&frame);
         if (status == FrameDecoder::Status::kFrame) {
           frames_.push_back(std::move(frame));
           continue;
@@ -415,10 +409,7 @@ class FakeServer {
   }
 
  private:
-  std::shared_ptr<Transport> end_;
-  std::string outbox_;
-  size_t outbox_sent_ = 0;
-  FrameDecoder decoder_;
+  ServePeer peer_;
   std::vector<DecodedFrame> frames_;
 };
 

@@ -10,6 +10,12 @@
 #     ```text blocks; each is diffed against the defining header, so a new
 #     or renumbered frame kind cannot land without the protocol doc
 #     following.
+#  3. docs/metrics.md's tables list every metric as "| `name` | type |";
+#     each row must match a Get{Counter,Gauge,Histogram} registration in
+#     src/ by name and type, and each registration must have a row. Names
+#     computed at run time ("serve.queue_depth.client" + id, or a prefix
+#     variable + ".candidates") form families that match the rows sharing
+#     their literal parts (serve.queue_depth.client<id>, engine.level1.*).
 #
 # Registered as the `docs_drift` ctest.
 #
@@ -109,9 +115,83 @@ check_wire_block "### RSRV frame kinds (generated)" "src/serve/protocol.h" \
 check_wire_block "### RJNL record types (generated)" "src/cluster/journal.h" \
   "$(enum_body src/cluster/journal.h JournalRecordType)"
 
+# --- docs/metrics.md: metric names and types vs the registrations in src/ ---
+
+metrics_doc="docs/metrics.md"
+if [ ! -f "$metrics_doc" ]; then
+  echo "check_docs: $metrics_doc not found"
+  exit 2
+fi
+get_re='Get(Counter|Gauge|Histogram)\('
+# "type name" for each literal registration.
+code_exact="$(grep -rhoE "$get_re\"[^\"]+\"\)" src |
+  sed -E 's/^Get([A-Za-z]+)\("([^"]+)"\)$/\1 \2/' | awk '{print tolower($1), $2}' | sort -u)"
+# "type glob" for each computed-name family: Get*("prefix" + x) gives
+# prefix*, and Get*(var + "suffix") with var = "prefix" + ... in the same
+# file gives prefix*suffix.
+code_families="$( {
+  grep -rhoE "$get_re\"[^\"]+\" \+" src | sed -E 's/^Get([A-Za-z]+)\("([^"]+)" \+$/\1 \2*/' || true
+  for file in $(grep -rlE "$get_re[a-z_]+ \+ \"" src || true); do
+    grep -oE "$get_re[a-z_]+ \+ \"[^\"]+\"\)" "$file" |
+      sed -E 's/^Get([A-Za-z]+)\(([a-z_]+) \+ "([^"]+)"\)$/\1 \2 \3/' |
+      while read -r type var suffix; do
+        prefix="$(grep -oE "$var = \"[^\"]+\" \+" "$file" | head -n 1 | sed -E 's/^.*= "([^"]+)".*$/\1/')"
+        echo "$type ${prefix:-?}*$suffix"
+      done
+  done
+} | awk '{print tolower($1), $2}' | sort -u)"
+# "type name" for each table row.
+doc_rows="$(grep -E '^\| `[^`]+` \| (counter|gauge|histogram) \|' "$metrics_doc" |
+  sed -E 's/^\| `([^`]+)` \| ([a-z]+) \|.*$/\2 \1/' | sort -u)"
+
+while read -r type name; do
+  [ -n "$type" ] || continue
+  if printf '%s\n' "$code_exact" | grep -qxF "$type $name"; then
+    continue
+  fi
+  matched=0
+  while read -r family_type glob; do
+    # Unquoted $glob: a shell pattern, so * spans the computed part.
+    if [ "$family_type" = "$type" ] && [[ "$name" == $glob ]]; then
+      matched=1
+      break
+    fi
+  done <<< "$code_families"
+  if [ "$matched" -eq 0 ]; then
+    echo "check_docs: $metrics_doc lists $type \`$name\`, which nothing in src/ registers"
+    fail=1
+  fi
+done <<< "$doc_rows"
+
+while read -r type name; do
+  [ -n "$type" ] || continue
+  if ! printf '%s\n' "$doc_rows" | grep -qxF "$type $name"; then
+    echo "check_docs: src/ registers $type \`$name\`, which $metrics_doc does not list"
+    fail=1
+  fi
+done <<< "$code_exact"
+
+while read -r type glob; do
+  [ -n "$type" ] || continue
+  matched=0
+  while read -r row_type name; do
+    if [ "$row_type" = "$type" ] && [[ "$name" == $glob ]]; then
+      matched=1
+      break
+    fi
+  done <<< "$doc_rows"
+  if [ "$matched" -eq 0 ]; then
+    echo "check_docs: src/ registers the $type family \`$glob\`, which $metrics_doc does not list"
+    fail=1
+  fi
+done <<< "$code_families"
+
 if [ "$fail" -ne 0 ]; then
-  echo "check_docs: FAILED — update docs/cli.md / docs/wire_protocol.md to match the tree"
+  echo "check_docs: FAILED — update docs/cli.md / docs/wire_protocol.md /" \
+       "docs/metrics.md to match the tree"
   exit 1
 fi
 echo "check_docs: docs/cli.md matches all $(echo $tools | wc -w) CLIs' --help;" \
-     "docs/wire_protocol.md matches the wire enums"
+     "docs/wire_protocol.md matches the wire enums;" \
+     "docs/metrics.md matches all $(printf '%s\n' "$code_exact" | wc -l) metrics and" \
+     "$(printf '%s\n' "$code_families" | wc -l) metric families in src/"
