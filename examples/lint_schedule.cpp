@@ -23,7 +23,6 @@
 // 1 means the input was read and judged bad, 2 means it could not be judged.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -32,6 +31,7 @@
 #include "src/analyze/trace_validator.h"
 #include "src/causal/causal_graph.h"
 #include "src/causal/feasibility.h"
+#include "src/common/file.h"
 #include "src/common/strings.h"
 #include "src/obs/trace_report.h"
 #include "src/trace/mapped_trace.h"
@@ -177,14 +177,10 @@ int main(int argc, char** argv) {
   } else {
     std::string text;
     if (schedule_arg != nullptr && std::strcmp(schedule_arg, "-") != 0) {
-      std::ifstream in(schedule_arg);
-      if (!in) {
+      if (!rose::ReadFileBytes(schedule_arg, &text)) {
         std::fprintf(stderr, "lint_schedule: cannot open %s\n", schedule_arg);
         return 2;
       }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      text = buf.str();
     } else {
       std::ostringstream buf;
       buf << std::cin.rdbuf();

@@ -19,9 +19,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
+#include "src/common/file.h"
 #include "src/common/parallel.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
@@ -76,13 +76,11 @@ int RunOne(const rose::BugSpec& spec, uint64_t seed, int parallelism, int tries,
     std::printf("%s\n", report.diagnosis.schedule.ToYaml().c_str());
   }
   if (!schedule_out.empty() && report.reproduced()) {
-    std::ofstream out(schedule_out, std::ios::binary);
-    if (!out) {
+    // Byte-exact ToYaml so the file diffs cleanly against served results.
+    if (!rose::WriteFile(schedule_out, report.diagnosis.schedule.ToYaml())) {
       std::fprintf(stderr, "reproduce_bug: cannot write %s\n", schedule_out.c_str());
       return 2;
     }
-    // Byte-exact ToYaml so the file diffs cleanly against served results.
-    out << report.diagnosis.schedule.ToYaml();
     std::printf("confirmed schedule written to %s\n", schedule_out.c_str());
   }
   return report.reproduced() ? 0 : 1;
@@ -142,7 +140,7 @@ int main(int argc, char** argv) {
     if (stats_out.empty()) {
       return true;
     }
-    if (!rose::WriteStatsFile(stats_out)) {
+    if (!rose::WriteFile(stats_out, rose::MetricRegistry::Global().Snapshot().ToYaml())) {
       std::fprintf(stderr, "reproduce_bug: cannot write %s\n", stats_out.c_str());
       return false;
     }

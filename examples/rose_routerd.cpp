@@ -26,6 +26,7 @@
 #include "examples/serve_demo.h"
 #include "src/cluster/journal.h"
 #include "src/cluster/router.h"
+#include "src/common/file.h"
 #include "src/net/transport.h"
 #include "src/obs/metrics.h"
 #include "src/serve/client.h"
@@ -228,7 +229,7 @@ int main(int argc, char** argv) {
                 follower->path().c_str());
   }
   if (!stats_out.empty()) {
-    if (!rose::WriteStatsFile(stats_out)) {
+    if (!rose::WriteFile(stats_out, rose::MetricRegistry::Global().Snapshot().ToYaml())) {
       std::fprintf(stderr, "rose_routerd: cannot write %s\n", stats_out.c_str());
       return 2;
     }

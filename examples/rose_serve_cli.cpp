@@ -31,9 +31,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
+#include "src/common/file.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/runner.h"
 #include "src/net/transport.h"
@@ -99,11 +99,6 @@ void PumpUntilDone(rose::ServeClient& client, rose::DiagnosisService& service,
       }
     }
   }
-}
-
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  // One fstat-sized read, no stream-buffer double copy.
-  return rose::ReadFileBytes(path, out);
 }
 
 }  // namespace
@@ -209,7 +204,7 @@ int main(int argc, char** argv) {
       }
       dump_events = trace.size();
     }
-    if (!ReadWholeFile(profile_path, &profile_text) ||
+    if (!rose::ReadFileBytes(profile_path, &profile_text) ||
         !rose::ParseProfile(profile_text, &profile)) {
       std::fprintf(stderr, "rose_serve_cli: cannot read profile %s\n", profile_path.c_str());
       return 2;
@@ -238,15 +233,13 @@ int main(int argc, char** argv) {
   if (!save_dump.empty()) {
     const std::string trc = save_dump + ".trc";
     const std::string prof = save_dump + ".profile";
-    std::ofstream prof_out(prof, std::ios::binary);
     // Copy-on-write: saving re-encodes, the one step needing an owning Trace.
     const bool saved = mapped.valid() ? rose::SaveTraceFile(trc, mapped.Promote())
                                       : rose::SaveTraceFile(trc, trace);
-    if (!saved || !prof_out) {
+    if (!saved || !rose::WriteFile(prof, rose::SerializeProfile(profile))) {
       std::fprintf(stderr, "rose_serve_cli: cannot write %s\n", save_dump.c_str());
       return 2;
     }
-    prof_out << rose::SerializeProfile(profile);
     std::printf("saved %s + %s\n", trc.c_str(), prof.c_str());
   }
 
@@ -324,12 +317,10 @@ int main(int argc, char** argv) {
     std::printf("%s\n", result.schedule_yaml.c_str());
   }
   if (!yaml_out.empty() && result.reproduced) {
-    std::ofstream out(yaml_out, std::ios::binary);
-    if (!out) {
+    if (!rose::WriteFile(yaml_out, result.schedule_yaml)) {
       std::fprintf(stderr, "rose_serve_cli: cannot write %s\n", yaml_out.c_str());
       return 2;
     }
-    out << result.schedule_yaml;
     std::printf("schedule written to %s\n", yaml_out.c_str());
   }
 

@@ -6,11 +6,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "src/common/file.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/runner.h"
 #include "src/serve/client.h"
@@ -138,10 +138,7 @@ inline bool PollAndReport(const char* tool, Submission& sub, uint64_t seed,
     return true;
   }
   const std::string path = out_dir + "/" + sub.bug_id + "-" + std::to_string(seed) + ".yaml";
-  std::ofstream out(path, std::ios::binary);
-  out << result.schedule_yaml;
-  out.close();
-  if (!out) {
+  if (!rose::WriteFile(path, result.schedule_yaml)) {
     std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
     (*failures)++;
     return true;

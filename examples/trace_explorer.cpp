@@ -38,9 +38,11 @@
 #include "src/analyze/trace_validator.h"
 #include "src/causal/causal_graph.h"
 #include "src/causal/feasibility.h"
+#include "src/common/file.h"
 #include "src/diagnose/extract.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/runner.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace_report.h"
 #include "src/trace/mapped_trace.h"
 #include "src/trace/trace_io.h"
@@ -343,7 +345,7 @@ int main(int argc, char** argv) {
   }
 
   if (!stats_out.empty()) {
-    if (!rose::WriteStatsFile(stats_out)) {
+    if (!rose::WriteFile(stats_out, rose::MetricRegistry::Global().Snapshot().ToYaml())) {
       std::fprintf(stderr, "trace_explorer: cannot write %s\n", stats_out.c_str());
       return 2;
     }

@@ -1,12 +1,10 @@
 #include "src/cluster/journal.h"
 
 #include <fcntl.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
 
-#include "src/trace/mmap_file.h"
+#include "src/common/file.h"
 #include "src/trace/trace_io.h"
 
 namespace rose {
@@ -43,23 +41,6 @@ bool GetLengthPrefixed(std::string_view* data, std::string_view* out) {
   *out = data->substr(0, static_cast<size_t>(len));
   data->remove_prefix(static_cast<size_t>(len));
   return true;
-}
-
-// Writes `bytes` to `fd`, resuming after short writes and EINTR; returns how
-// many bytes reached the file (fewer than bytes.size() only on an error).
-size_t WriteAll(int fd, std::string_view bytes) {
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      break;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return written;
 }
 
 std::string StreamHeader() {
@@ -147,30 +128,17 @@ bool DecodeComplete(std::string_view payload, CompleteRecord* out) {
 ClusterJournal::ClusterJournal(std::string path) : path_(std::move(path)) {
   Replay();
   if (!path_.empty()) {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT, 0644);
-    if (fd_ >= 0) {
-      // Position after the last intact record: replay truncated a torn tail
-      // out of history_, and the file must agree before the next append.
-      if (recovered_torn_tail_) {
-        (void)::ftruncate(fd_, static_cast<off_t>(history_.size()));
-      }
-      (void)::lseek(fd_, static_cast<off_t>(history_.size()), SEEK_SET);
+    // Appends land at end of file, which must sit right after the last
+    // intact record: replay dropped a torn tail from history_, so cut it
+    // from the file too. A file that cannot be cut is not written to.
+    file_ = File::Open(path_, O_WRONLY | O_CREAT | O_APPEND);
+    if (recovered_torn_tail_ && !file_.Truncate(history_.size())) {
+      file_ = File();
     }
   }
   if (history_.empty()) {
-    const std::string header = StreamHeader();
-    history_ = header;
-    if (fd_ >= 0) {
-      bytes_written_ += WriteAll(fd_, header);
-      ::fsync(fd_);
-      fsyncs_++;
-    }
-  }
-}
-
-ClusterJournal::~ClusterJournal() {
-  if (fd_ >= 0) {
-    ::close(fd_);
+    history_ = StreamHeader();
+    WriteDurably(history_);
   }
 }
 
@@ -260,13 +228,21 @@ void ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
   frame.append(payload.data(), payload.size());
   history_ += frame;
   appends_++;
-  if (fd_ >= 0) {
-    bytes_written_ += WriteAll(fd_, frame);
-    ::fsync(fd_);
-    fsyncs_++;
-  }
+  WriteDurably(frame);
   for (Follower& follower : followers_) {
     follower.outbox.Append(frame);
+  }
+}
+
+void ClusterJournal::WriteDurably(std::string_view bytes) {
+  if (!file_.valid()) {
+    return;
+  }
+  const size_t written = file_.Write(bytes);
+  bytes_written_ += written;
+  // Only a whole frame that fsync confirmed counts as durable.
+  if (written == bytes.size() && file_.Sync()) {
+    fsyncs_++;
   }
 }
 
@@ -314,13 +290,7 @@ bool ClusterJournal::replication_idle() const {
 JournalFollower::JournalFollower(std::string path, std::shared_ptr<Transport> transport)
     : path_(std::move(path)), transport_(std::move(transport)) {
   if (!path_.empty()) {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  }
-}
-
-JournalFollower::~JournalFollower() {
-  if (fd_ >= 0) {
-    ::close(fd_);
+    file_ = File::Open(path_, O_WRONLY | O_CREAT | O_TRUNC);
   }
 }
 
@@ -332,9 +302,10 @@ void JournalFollower::Poll() {
     }
     bytes_received_ += chunk.size();
     bytes_ += chunk;
-    if (fd_ >= 0) {
-      WriteAll(fd_, chunk);
-      ::fsync(fd_);
+    // Stop writing at the first failure, so the file stays a byte prefix of
+    // the leader's journal instead of growing a gap.
+    if (file_.valid() && (file_.Write(chunk) != chunk.size() || !file_.Sync())) {
+      file_ = File();
     }
   }
 }

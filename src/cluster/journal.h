@@ -36,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/file.h"
 #include "src/net/transport.h"
 
 namespace rose {
@@ -88,7 +89,6 @@ class ClusterJournal {
   // journal: appends are framed and replicated but nothing touches disk —
   // the configuration a router without durability needs (tests, benches).
   explicit ClusterJournal(std::string path);
-  ~ClusterJournal();
 
   ClusterJournal(const ClusterJournal&) = delete;
   ClusterJournal& operator=(const ClusterJournal&) = delete;
@@ -113,6 +113,7 @@ class ClusterJournal {
 
   // --- Counters (mirrored into cluster.journal_* metrics by the owner) ------
   uint64_t appends() const { return appends_; }
+  // fsyncs that succeeded, each after a whole frame reached the file.
   uint64_t fsyncs() const { return fsyncs_; }
   // Bytes that reached the journal file (0 for a memory-only journal).
   uint64_t bytes_written() const { return bytes_written_; }
@@ -129,6 +130,9 @@ class ClusterJournal {
 
  private:
   void Append(JournalRecordType type, std::string_view payload);
+  // Writes and fsyncs `bytes` (no-op when memory-only), counting the bytes
+  // that reached the file and each fsync that followed a whole write.
+  void WriteDurably(std::string_view bytes);
   void Replay();
 
   struct Follower {
@@ -137,7 +141,7 @@ class ClusterJournal {
   };
 
   std::string path_;
-  int fd_ = -1;
+  File file_;
   // Every byte ever framed (header + records), the replication source of
   // truth. Memory cost is bounded by the journal itself, which a dispatch-
   // heavy coordinator rotates by restarting on a fresh path.
@@ -165,7 +169,6 @@ class JournalFollower {
   // Empty path keeps the received bytes in memory only (bytes() exposes
   // them); tests and benches replicate without touching disk.
   JournalFollower(std::string path, std::shared_ptr<Transport> transport);
-  ~JournalFollower();
 
   JournalFollower(const JournalFollower&) = delete;
   JournalFollower& operator=(const JournalFollower&) = delete;
@@ -179,7 +182,7 @@ class JournalFollower {
 
  private:
   std::string path_;
-  int fd_ = -1;
+  File file_;
   std::shared_ptr<Transport> transport_;
   std::string bytes_;
   uint64_t bytes_received_ = 0;

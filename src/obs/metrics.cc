@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <fstream>
 #include <sstream>
 
 namespace rose {
@@ -145,15 +144,6 @@ std::string MetricsSnapshot::ToYaml() const {
     }
   }
   return out.str();
-}
-
-bool WriteStatsFile(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << MetricRegistry::Global().Snapshot().ToYaml();
-  return static_cast<bool>(out);
 }
 
 }  // namespace rose

@@ -190,11 +190,6 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-// Writes MetricRegistry::Global()'s snapshot as YAML ("# rose-obs v1") to
-// `path`; false on I/O failure. The --stats-out flag of reproduce_bug /
-// trace_explorer / rose_served lands here.
-bool WriteStatsFile(const std::string& path);
-
 }  // namespace rose
 
 #endif  // ROSE_OBS_METRICS_H_

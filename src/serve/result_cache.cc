@@ -1,9 +1,8 @@
 #include "src/serve/result_cache.h"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
+#include "src/common/file.h"
 #include "src/common/strings.h"
 
 namespace rose {
@@ -12,41 +11,6 @@ namespace {
 
 std::string KeyName(uint64_t key) {
   return StrFormat("%016llx", static_cast<unsigned long long>(key));
-}
-
-bool ReadFile(const std::filesystem::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-// Temp-file + atomic rename: a crash mid-write leaves a stray .tmp (ignored
-// by LoadFromDisk), never a half-written cache entry under its final name.
-// Readers therefore see each file either whole or absent.
-bool WriteFileAtomic(const std::filesystem::path& path, std::string_view data) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out.good()) {
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -91,7 +55,8 @@ void ResultCache::Persist(uint64_t key, const CachedResult& result) const {
   const std::filesystem::path base = std::filesystem::path(dir_) / KeyName(key);
   // Yaml first, meta second: the meta file is the commit point (LoadFromDisk
   // starts from .meta files), so an entry only becomes visible once both
-  // halves are durably named. yaml_bytes is written last so any truncation
+  // halves are durably named (a crash leaves at most a stray .tmp, which
+  // LoadFromDisk ignores). yaml_bytes is written last so any truncation
   // of the meta — or of the yaml it vouches for — is detectable on load.
   if (!WriteFileAtomic(base.string() + ".yaml", result.schedule_yaml)) {
     return;
@@ -141,7 +106,7 @@ void ResultCache::LoadFromDisk() {
   }
   for (const auto& [key, meta_path] : found) {
     std::string meta;
-    if (!ReadFile(meta_path, &meta)) {
+    if (!ReadFileBytes(meta_path, &meta)) {
       continue;
     }
     CachedResult result;
@@ -193,7 +158,7 @@ void ResultCache::LoadFromDisk() {
     // line); the size check rejects a yaml truncated after its meta was
     // sealed. Either way the damaged entry is skipped cleanly — the cache
     // recovers with one fewer hit, never with a corrupt schedule.
-    if (!header_ok || !sealed || !ReadFile(yaml_path, &yaml) ||
+    if (!header_ok || !sealed || !ReadFileBytes(yaml_path, &yaml) ||
         yaml.size() != yaml_bytes) {
       continue;
     }

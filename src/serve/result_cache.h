@@ -17,9 +17,11 @@
 //     `<key>.yaml` — the byte-exact FaultSchedule::ToYaml() output, valid
 //     input for the executor and `lint_schedule` as-is — plus a `<key>.meta`
 //     sidecar with the counters (the YAML stays pristine because the
-//     schedule parser has no comment syntax). A restarted daemon reloads
-//     the directory and keeps answering O(1) for every schedule it ever
-//     confirmed. Unconfirmed results are cached in memory only: they are
+//     schedule parser has no comment syntax). Both go through
+//     WriteFileAtomic (temp file, fsync, rename, directory fsync), so each
+//     survives a crash or a power loss whole or not at all. A restarted
+//     daemon reloads the directory and keeps answering O(1) for every
+//     schedule it ever confirmed. Unconfirmed results are cached in memory only: they are
 //     deterministic too, but worthless across restarts.
 #ifndef SRC_SERVE_RESULT_CACHE_H_
 #define SRC_SERVE_RESULT_CACHE_H_

@@ -1,5 +1,7 @@
 #include "src/serve/stream_ingestor.h"
 
+#include <fcntl.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -27,21 +29,16 @@ StreamIngestor::StreamIngestor(StreamIngestorConfig config) : config_(config) {
   m_materialize_ns_ = reg.GetHistogram("stream.materialize_ns");
 }
 
-StreamIngestor::~StreamIngestor() {
-  for (auto& [id, session] : sessions_) {
-    if (session->spill != nullptr) {
-      std::fclose(session->spill);
-      std::remove(session->spill_path.c_str());
-    }
-  }
-}
-
 void StreamIngestor::Open(uint64_t id) {
   auto session = std::make_unique<Session>();
   if (!config_.spill_dir.empty() && spill_capacity_records_ > 0) {
-    session->spill_path =
-        config_.spill_dir + "/stream-" + std::to_string(id) + ".spill";
-    session->spill = std::fopen(session->spill_path.c_str(), "wb+");
+    const std::string path = config_.spill_dir + "/stream-" + std::to_string(id) + ".spill";
+    session->spill = File::Open(path, O_RDWR | O_CREAT | O_TRUNC);
+    if (session->spill.valid()) {
+      // Private scratch: unnamed at once, the ring is reclaimed when the
+      // session closes or the process dies, a crash included.
+      std::remove(path.c_str());
+    }
     // A spill dir that cannot be written degrades to drop-on-evict; the
     // drops counter (and the client's throttle frames) make that visible.
   }
@@ -110,13 +107,11 @@ std::string StreamIngestor::Materialize(uint64_t id) {
   std::vector<TraceEvent> events;
   events.reserve(static_cast<size_t>(session.spill_end - session.spill_begin) +
                  session.resident.size());
-  if (session.spill != nullptr && session.spill_end > session.spill_begin) {
+  if (session.spill.valid() && session.spill_end > session.spill_begin) {
     TraceEvent record;
     for (uint64_t index = session.spill_begin; index < session.spill_end; index++) {
       const uint64_t slot = index % spill_capacity_records_;
-      if (std::fseek(session.spill,
-                     static_cast<long>(slot * sizeof(TraceEvent)), SEEK_SET) != 0 ||
-          std::fread(&record, sizeof(TraceEvent), 1, session.spill) != 1) {
+      if (!session.spill.ReadAt(slot * sizeof(TraceEvent), &record, sizeof(TraceEvent))) {
         break;  // Unreadable ring tail: materialize what survived.
       }
       events.push_back(record);
@@ -153,10 +148,6 @@ void StreamIngestor::Close(uint64_t id) {
   if (it == sessions_.end()) {
     return;
   }
-  if (it->second->spill != nullptr) {
-    std::fclose(it->second->spill);
-    std::remove(it->second->spill_path.c_str());
-  }
   resident_total_ -= session_cost_[id];
   session_cost_.erase(id);
   sessions_.erase(it);
@@ -186,26 +177,20 @@ void StreamIngestor::EnforceWindow(uint64_t id, Session& session) {
     const TraceEvent& oldest = session.resident.front();
     evictions_total_++;
     m_evictions_->Inc();
-    if (session.spill != nullptr) {
+    bool dropped = true;
+    if (session.spill.valid()) {
       const uint64_t slot = session.spill_end % spill_capacity_records_;
-      if (std::fseek(session.spill,
-                     static_cast<long>(slot * sizeof(TraceEvent)), SEEK_SET) == 0 &&
-          std::fwrite(&oldest, sizeof(TraceEvent), 1, session.spill) == 1) {
+      if (session.spill.WriteAt(slot * sizeof(TraceEvent), &oldest, sizeof(TraceEvent))) {
         session.spill_end++;
         m_spilled_bytes_->Inc(sizeof(TraceEvent));
-        if (session.spill_end - session.spill_begin > spill_capacity_records_) {
-          // Ring full: this write overwrote the oldest spilled record.
+        // Ring full: this write overwrote the oldest spilled record.
+        dropped = session.spill_end - session.spill_begin > spill_capacity_records_;
+        if (dropped) {
           session.spill_begin = session.spill_end - spill_capacity_records_;
-          session.drops++;
-          drops_total_++;
-          m_dropped_events_->Inc();
         }
-      } else {
-        session.drops++;  // Spill write failed; the event is gone.
-        drops_total_++;
-        m_dropped_events_->Inc();
       }
-    } else {
+    }
+    if (dropped) {
       session.drops++;
       drops_total_++;
       m_dropped_events_->Inc();

@@ -20,13 +20,13 @@
 #define SRC_SERVE_STREAM_INGESTOR_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 
+#include "src/common/file.h"
 #include "src/obs/metrics.h"
 #include "src/trace/trace_io.h"
 
@@ -50,7 +50,6 @@ struct StreamIngestorConfig {
 class StreamIngestor {
  public:
   explicit StreamIngestor(StreamIngestorConfig config);
-  ~StreamIngestor();
 
   StreamIngestor(const StreamIngestor&) = delete;
   StreamIngestor& operator=(const StreamIngestor&) = delete;
@@ -69,7 +68,7 @@ class StreamIngestor {
   // stable-sorted by timestamp, compacted into a fresh pool — into a
   // canonical RTRC blob (Tracer::Dump's exact canonicalization).
   std::string Materialize(uint64_t id);
-  // Drops all session state and deletes its spill file.
+  // Drops all session state, its spill ring included.
   void Close(uint64_t id);
 
   size_t session_count() const { return sessions_.size(); }
@@ -92,8 +91,7 @@ class StreamIngestor {
     // resolve against decoder.pool(), which only grows — spilled records
     // stay resolvable without re-interning.
     std::deque<TraceEvent> resident;
-    std::string spill_path;
-    std::FILE* spill = nullptr;
+    File spill;
     // Monotone record indices into the ring: [begin, end) are live, the
     // slot of record i is (i % capacity_records).
     uint64_t spill_begin = 0;

@@ -37,7 +37,7 @@ class MappedTrace {
   // An empty handle: valid() is false, view() is empty.
   MappedTrace() = default;
 
-  // Maps `path` (heap read fallback off-POSIX) and decodes it. An unreadable
+  // Maps `path` (heap read when mmap refuses it) and decodes it. An unreadable
   // file yields an invalid handle plus a TB206 diagnostic with the errno
   // text; container damage decodes the intact prefix and appends TB2xx
   // diagnostics, exactly as LoadTraceFile does.

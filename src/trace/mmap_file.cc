@@ -1,20 +1,14 @@
 #include "src/trace/mmap_file.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <utility>
-
-#include "src/obs/metrics.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ROSE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define ROSE_HAVE_MMAP 0
-#endif
+
+#include <utility>
+
+#include "src/common/file.h"
+#include "src/obs/metrics.h"
 
 namespace rose {
 
@@ -42,68 +36,6 @@ MmapMetrics& Metrics() {
 
 }  // namespace
 
-bool ReadFileBytes(const std::string& path, std::string* out, int* errno_out) {
-  if (errno_out != nullptr) {
-    *errno_out = 0;
-  }
-#if ROSE_HAVE_MMAP
-  // fstat + read into an exact-sized buffer: one copy, no stringstream.
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno_out != nullptr) {
-      *errno_out = errno;
-    }
-    return false;
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    if (errno_out != nullptr) {
-      *errno_out = errno != 0 ? errno : EINVAL;
-    }
-    ::close(fd);
-    return false;
-  }
-  out->resize(static_cast<size_t>(st.st_size));
-  size_t done = 0;
-  while (done < out->size()) {
-    const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno_out != nullptr) {
-        *errno_out = errno;
-      }
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) {
-      break;  // File shrank under us; keep what was read.
-    }
-    done += static_cast<size_t>(n);
-  }
-  out->resize(done);
-  ::close(fd);
-  return true;
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (errno_out != nullptr) {
-      *errno_out = errno;
-    }
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
-#endif
-}
-
 MmapTraceFile& MmapTraceFile::operator=(MmapTraceFile&& other) noexcept {
   if (this != &other) {
     Reset();
@@ -123,11 +55,9 @@ MmapTraceFile& MmapTraceFile::operator=(MmapTraceFile&& other) noexcept {
 }
 
 void MmapTraceFile::Reset() {
-#if ROSE_HAVE_MMAP
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<char*>(data_), size_);
   }
-#endif
   data_ = nullptr;
   size_ = 0;
   valid_ = false;
@@ -140,41 +70,29 @@ MmapTraceFile MmapTraceFile::Open(const std::string& path, int* errno_out) {
   if (errno_out != nullptr) {
     *errno_out = 0;
   }
-#if ROSE_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st {};
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-      const auto size = static_cast<size_t>(st.st_size);
-      if (size == 0) {
-        // mmap(0) is EINVAL; an empty file is a valid (empty) byte range.
-        ::close(fd);
-        file.valid_ = true;
-        Metrics().opens->Inc();
-        return file;
-      }
-      void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (fd >= 0 && ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    const auto size = static_cast<size_t>(st.st_size);
+    // mmap(0) is EINVAL; an empty file is a valid (empty) byte range.
+    void* addr = size == 0 ? nullptr : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (addr != MAP_FAILED) {
       ::close(fd);
-      if (addr != MAP_FAILED) {
-        file.data_ = static_cast<const char*>(addr);
-        file.size_ = size;
-        file.valid_ = true;
-        file.mapped_ = true;
-        Metrics().opens->Inc();
-        Metrics().bytes->Inc(size);
-        return file;
-      }
-    } else {
-      ::close(fd);
+      file.data_ = static_cast<const char*>(addr);
+      file.size_ = size;
+      file.valid_ = true;
+      file.mapped_ = size > 0;
+      Metrics().opens->Inc();
+      Metrics().bytes->Inc(size);
+      return file;
     }
   }
-#endif
-  // mmap unavailable or refused: one exact-sized read into an owned buffer.
-  int read_errno = 0;
-  if (!ReadFileBytes(path, &file.fallback_, &read_errno)) {
-    if (errno_out != nullptr) {
-      *errno_out = read_errno;
-    }
+  if (fd >= 0) {
+    ::close(fd);
+  }
+  // mmap refused (or a non-regular file): one exact-sized read into an
+  // owned buffer, which also reports the errno.
+  if (!ReadFileBytes(path, &file.fallback_, errno_out)) {
     return file;
   }
   file.data_ = file.fallback_.data();

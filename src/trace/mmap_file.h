@@ -2,12 +2,12 @@
 //
 // The diagnosis phase re-reads a dumped window many times; reading it
 // through a stream copies every byte into a heap buffer before the first
-// event decodes. MmapTraceFile maps the file instead (PROT_READ/MAP_PRIVATE
-// on POSIX) so the container bytes are paged in on demand and the mapped
-// region can back zero-copy string-pool entries (MappedTrace). Platforms
-// without mmap — and files mmap refuses (zero-length, exotic filesystems) —
-// fall back transparently to one fstat-sized read() into an owned buffer;
-// `mapped()` reports which path was taken.
+// event decodes. MmapTraceFile maps the file instead (PROT_READ/MAP_PRIVATE)
+// so the container bytes are paged in on demand and the mapped region can
+// back zero-copy string-pool entries (MappedTrace). Files mmap
+// refuses (exotic filesystems) fall back transparently to ReadFileBytes'
+// one fstat-sized read() into an owned buffer; `mapped()` reports which
+// path was taken.
 #ifndef SRC_TRACE_MMAP_FILE_H_
 #define SRC_TRACE_MMAP_FILE_H_
 
@@ -16,12 +16,6 @@
 #include <string_view>
 
 namespace rose {
-
-// Reads all of `path` with one fstat + read loop into `*out` (preallocated
-// to the file size — no stream-buffer double copy). False on failure, with
-// the failing errno in `*errno_out` when non-null. The shared non-mmap load
-// path for LoadTraceFile and the MmapTraceFile fallback.
-bool ReadFileBytes(const std::string& path, std::string* out, int* errno_out = nullptr);
 
 // Move-only RAII mapping of one file. Invalid instances hold no bytes.
 class MmapTraceFile {
@@ -34,8 +28,8 @@ class MmapTraceFile {
   MmapTraceFile(const MmapTraceFile&) = delete;
   MmapTraceFile& operator=(const MmapTraceFile&) = delete;
 
-  // Maps `path` read-only; on any mmap failure (or off-POSIX builds) falls
-  // back to ReadFileBytes. An unreadable file yields an invalid instance
+  // Maps `path` read-only; on any mmap failure falls back to
+  // ReadFileBytes (src/common/file.h). An unreadable file yields an invalid instance
   // with the errno in `*errno_out`.
   static MmapTraceFile Open(const std::string& path, int* errno_out = nullptr);
 

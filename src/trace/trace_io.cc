@@ -2,11 +2,10 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
 
+#include "src/common/file.h"
 #include "src/common/strings.h"
 #include "src/obs/metrics.h"
-#include "src/trace/mmap_file.h"
 
 namespace rose {
 
@@ -816,13 +815,7 @@ Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags) {
 }
 
 bool SaveTraceFile(const std::string& path, const Trace& trace, bool text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  const std::string encoded = text ? trace.Serialize() : trace.SerializeBinary();
-  out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-  return out.good();
+  return WriteFile(path, text ? trace.Serialize() : trace.SerializeBinary());
 }
 
 }  // namespace rose

@@ -18,6 +18,7 @@
 #include "src/cluster/hash_ring.h"
 #include "src/cluster/journal.h"
 #include "src/cluster/router.h"
+#include "src/common/file.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
 #include "src/harness/runner.h"
@@ -26,7 +27,6 @@
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/service.h"
-#include "src/trace/mmap_file.h"
 
 namespace rose {
 namespace {
@@ -219,6 +219,19 @@ TEST(ClusterJournalTest, TornTailIsDroppedOnReplayAndTruncatedAway) {
   EXPECT_EQ(reopened.pending().size(), 2u);
   EXPECT_EQ(reopened.next_job_id(), 4u);
   std::filesystem::remove(path);
+}
+
+// A full disk: nothing reaches the file, so nothing counts as written or
+// as durably synced — the router must not believe a record is on disk.
+TEST(ClusterJournalTest, FullDiskCountsNoBytesAndNoFsyncs) {
+  if (!std::filesystem::is_character_file("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  ClusterJournal journal("/dev/full");
+  journal.AppendComplete(CompleteRecord{1, true});
+  EXPECT_EQ(journal.appends(), 1u);
+  EXPECT_EQ(journal.bytes_written(), 0u);
+  EXPECT_EQ(journal.fsyncs(), 0u);
 }
 
 TEST(ClusterJournalTest, FollowerReceivesByteIdenticalJournal) {

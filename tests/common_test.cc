@@ -1,13 +1,17 @@
+#include <fcntl.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <set>
 #include <vector>
 
+#include "src/common/file.h"
 #include "src/common/hash.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
@@ -136,6 +140,104 @@ TEST(HashTest, FnvAndMix64MatchReferenceValues) {
   EXPECT_EQ(Mix64(0x9e3779b97f4a7c15ULL), 0xe220a8397b1dcdafULL);
   uint64_t state = 0;
   EXPECT_EQ(SplitMix64(state), 0xe220a8397b1dcdafULL);
+}
+
+// A fresh, empty directory under the test temp dir.
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(FileTest, ReadFileBytesReadsRegularFilesOnly) {
+  const std::string dir = FreshDir("rose_file_read");
+  const std::string path = dir + "/data.bin";
+  const std::string bytes("abc\0def", 7);
+  ASSERT_TRUE(WriteFile(path, bytes));
+  std::string out;
+  int err = -1;
+  ASSERT_TRUE(ReadFileBytes(path, &out, &err));
+  EXPECT_EQ(out, bytes);
+  EXPECT_EQ(err, 0);
+
+  EXPECT_FALSE(ReadFileBytes(dir + "/missing", &out, &err));
+  EXPECT_EQ(err, ENOENT);
+  EXPECT_FALSE(ReadFileBytes(dir, &out, &err));
+  EXPECT_EQ(err, EISDIR);
+  // A device never ends; refusing it keeps readers from looping forever.
+  if (std::filesystem::is_character_file("/dev/zero")) {
+    EXPECT_FALSE(ReadFileBytes("/dev/zero", &out, &err));
+    EXPECT_EQ(err, EINVAL);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileTest, WriteFileTruncatesAndFailsOnAFullDisk) {
+  const std::string dir = FreshDir("rose_file_write");
+  const std::string path = dir + "/out.yaml";
+  ASSERT_TRUE(WriteFile(path, "a longer first version\n"));
+  ASSERT_TRUE(WriteFile(path, "short\n"));
+  std::string out;
+  ASSERT_TRUE(ReadFileBytes(path, &out));
+  EXPECT_EQ(out, "short\n");
+  EXPECT_FALSE(WriteFile(dir + "/no-such-dir/out.yaml", "x"));
+  if (std::filesystem::is_character_file("/dev/full")) {
+    // Every write to /dev/full fails with ENOSPC.
+    EXPECT_FALSE(WriteFile("/dev/full", "confirmed schedule\n"));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileTest, WriteFileAtomicReplacesWholeOrLeavesTargetUntouched) {
+  const std::string dir = FreshDir("rose_file_atomic");
+  const std::string path = dir + "/entry.meta";
+  ASSERT_TRUE(WriteFileAtomic(path, "v1\n"));
+  ASSERT_TRUE(WriteFileAtomic(path, "v2\n"));
+  std::string out;
+  ASSERT_TRUE(ReadFileBytes(path, &out));
+  EXPECT_EQ(out, "v2\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A directory in the way: the rename fails, the temp file is removed and
+  // the directory keeps its contents.
+  const std::string blocked = dir + "/blocked";
+  std::filesystem::create_directories(blocked);
+  ASSERT_TRUE(WriteFile(blocked + "/inside", "keep"));
+  EXPECT_FALSE(WriteFileAtomic(blocked, "payload"));
+  EXPECT_FALSE(std::filesystem::exists(blocked + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(blocked));
+  ASSERT_TRUE(ReadFileBytes(blocked + "/inside", &out));
+  EXPECT_EQ(out, "keep");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileTest, WriteAtReadAtRoundTripFixedSlots) {
+  const std::string dir = FreshDir("rose_file_slots");
+  const std::string path = dir + "/ring.spill";
+  File file = File::Open(path, O_RDWR | O_CREAT | O_TRUNC);
+  ASSERT_TRUE(file.valid());
+  // Slots written out of order, one overwritten, as a ring does.
+  ASSERT_TRUE(file.WriteAt(8, "slot-one", 8));
+  ASSERT_TRUE(file.WriteAt(0, "slot-zer", 8));
+  ASSERT_TRUE(file.WriteAt(16, "slot-two", 8));
+  ASSERT_TRUE(file.WriteAt(0, "slot-0v2", 8));
+  char slot[8];
+  ASSERT_TRUE(file.ReadAt(0, slot, sizeof(slot)));
+  EXPECT_EQ(std::string(slot, sizeof(slot)), "slot-0v2");
+  ASSERT_TRUE(file.ReadAt(16, slot, sizeof(slot)));
+  EXPECT_EQ(std::string(slot, sizeof(slot)), "slot-two");
+  EXPECT_FALSE(file.ReadAt(20, slot, sizeof(slot)));  // Runs past the end.
+  EXPECT_TRUE(file.Sync());
+  ASSERT_TRUE(file.Truncate(8));
+  EXPECT_FALSE(file.ReadAt(8, slot, sizeof(slot)));
+  EXPECT_TRUE(file.Close());
+  EXPECT_FALSE(file.valid());
+  EXPECT_FALSE(file.WriteAt(0, "x", 1));
+  std::string out;
+  ASSERT_TRUE(ReadFileBytes(path, &out));
+  EXPECT_EQ(out, "slot-0v2");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

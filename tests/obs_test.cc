@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/file.h"
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 
@@ -231,14 +232,18 @@ TEST(ObsTest, EventLogIsBoundedAndCountsDrops) {
 #endif
 }
 
-TEST(ObsTest, WriteStatsFileRoundTrips) {
+// What every --stats-out flag does: the global snapshot's YAML through
+// WriteFile, read back byte for byte.
+TEST(ObsTest, StatsSnapshotRoundTripsThroughWriteFile) {
   const std::string path = ::testing::TempDir() + "/obs_stats.yaml";
-  ASSERT_TRUE(WriteStatsFile(path));
-  std::ifstream in(path);
-  std::string first_line;
-  std::getline(in, first_line);
-  EXPECT_EQ(first_line, "# rose-obs v1");
-  EXPECT_FALSE(WriteStatsFile("/nonexistent-dir-zzz/stats.yaml"));
+  const std::string yaml = MetricRegistry::Global().Snapshot().ToYaml();
+  ASSERT_TRUE(WriteFile(path, yaml));
+  std::string read_back;
+  ASSERT_TRUE(ReadFileBytes(path, &read_back));
+  EXPECT_EQ(read_back, yaml);
+  EXPECT_EQ(read_back.substr(0, read_back.find('\n')), "# rose-obs v1");
+  EXPECT_FALSE(WriteFile("/nonexistent-dir-zzz/stats.yaml", yaml));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "src/analyze/schedule_linter.h"
 #include "src/analyze/trace_validator.h"
+#include "src/common/file.h"
 #include "src/common/rng.h"
 #include "src/diagnose/engine.h"
 #include "src/trace/mapped_trace.h"
