@@ -12,10 +12,11 @@
 //   ./build/examples/lint_schedule schedule.yaml --against trace.bin
 //   cat schedule.yaml | ./build/examples/lint_schedule
 //
-// --trace runs rose::analyze's TraceValidator over a trace dump (binary or
-// text, auto-detected). --against TRACE additionally checks the schedule's
-// enforced injection order against the trace's happens-before order
-// (rose::causal) and prints the feasibility verdict.
+// --trace runs rose::analyze's TraceValidator over a trace dump (an RTRC
+// container; anything else is TB201 container damage). --against TRACE
+// additionally checks the schedule's enforced injection order against the
+// trace's happens-before order (rose::causal) and prints the feasibility
+// verdict.
 //
 // Exit codes: 0 clean (warnings allowed), 1 error-severity lint or
 // feasibility findings, 2 input failure — unreadable or unparseable files,
@@ -55,9 +56,9 @@ is given (or the file is -).
 
 flags:
   --demo          lint a deliberately broken built-in schedule
-  --trace FILE    validate a saved trace dump instead (binary or text,
-                  auto-detected) with the TraceValidator; window statistics
-                  are rendered from the rose::obs registry
+  --trace FILE    validate a saved trace dump (an RTRC container) instead
+                  with the TraceValidator; window statistics are rendered
+                  from the rose::obs registry
   --against TRACE additionally check the schedule's enforced injection
                   order against TRACE's happens-before order (rose::causal)
                   and print the feasibility verdict: feasible, infeasible

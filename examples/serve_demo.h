@@ -40,16 +40,15 @@ inline Submission ParseSubmission(const char* arg) {
   return sub;
 }
 
-// One obtained dump + baseline, ready to submit. Saved binary dumps stay a
+// One obtained dump + baseline, ready to submit. Saved dumps stay a
 // zero-copy mapped handle whose raw container bytes ship over the wire
-// (SubmitBlob); generated or text dumps carry an owning Trace instead.
+// (SubmitBlob); generated dumps carry an owning Trace instead.
 struct DumpPayload {
   rose::Profile profile;
   std::string profile_text;   // Set for saved pairs (shipped verbatim).
-  rose::MappedTrace mapped;   // valid() for saved binary dumps.
-  rose::Trace trace;          // The owning fallback.
+  rose::MappedTrace mapped;   // valid() for saved dumps.
+  rose::Trace trace;          // Set for generated dumps.
   size_t events = 0;
-  const char* load_mode = "heap";
 };
 
 // Loads the saved pair BASE.trc + BASE.profile, or simulates phases 1-2 for
@@ -57,11 +56,10 @@ struct DumpPayload {
 inline bool ObtainDump(const char* tool, const Submission& sub, uint64_t seed,
                        DumpPayload* out) {
   if (!sub.dump_base.empty()) {
-    if (!rose::OpenDumpForSubmit(sub.dump_base + ".trc", &out->mapped, &out->trace)) {
+    if (!rose::OpenDumpForSubmit(sub.dump_base + ".trc", &out->mapped)) {
       return false;
     }
-    out->load_mode = out->mapped.valid() ? out->mapped.load_mode() : "heap";
-    out->events = out->mapped.valid() ? out->mapped.event_count() : out->trace.size();
+    out->events = out->mapped.event_count();
     if (!rose::ReadFileBytes(sub.dump_base + ".profile", &out->profile_text)) {
       std::fprintf(stderr, "%s: cannot open %s.profile\n", tool, sub.dump_base.c_str());
       return false;
@@ -89,8 +87,8 @@ inline bool ObtainDump(const char* tool, const Submission& sub, uint64_t seed,
 // Submits `payload` on sub.client, tagged with the bug id.
 inline void Submit(Submission& sub, uint64_t seed, DumpPayload& payload) {
   if (payload.mapped.valid()) {
-    // Mapped binary dump: ship the container bytes verbatim — no owning
-    // Trace, no re-encode. Same cache key as the Submit path.
+    // Mapped dump: ship the container bytes verbatim — no owning Trace, no
+    // re-encode. Same cache key as the Submit path.
     sub.handle = sub.client->SubmitBlob(sub.bug_id, seed, sub.bug_id, payload.profile_text,
                                         payload.mapped.bytes());
     return;

@@ -11,9 +11,9 @@
 //   ./build/examples/trace_explorer --merge A B [C...] [--save FILE] [--stats]
 //
 //   --save FILE   write the dumped window to FILE — binary container unless
-//                 FILE ends in .txt (then the one-event-per-line text form)
-//   --load FILE   skip the simulated run and explore a saved trace instead;
-//                 binary vs text is auto-detected from the file's magic
+//                 FILE ends in .txt (then the export-only text form, one
+//                 event per line, which --load and --merge do not read)
+//   --load FILE   skip the simulated run and explore a saved RTRC dump
 //   --merge ...   k-way merge saved per-node traces (Trace::Merge):
 //                 timestamp-ordered, stable for ties, strings re-interned
 //                 into one pool; combine with --save to persist the result
@@ -26,8 +26,8 @@
 //   --stats-out FILE  write the rose::obs metrics snapshot (YAML) to FILE
 //
 // Exit status: 0 on success; 1 when a loaded file carries error-severity
-// container diagnostics (TB2xx — truncation, CRC damage, unreadable file),
-// even if intact frames still produced events.
+// container diagnostics (TB2xx — not an RTRC container, truncation, CRC
+// damage, unreadable file), even if intact frames still produced events.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,13 +65,12 @@ positional arguments:
   seed              simulation seed for the live run (default 1234)
 
 flags:
-  --save FILE       write the dumped window to FILE (binary container, or
-                    one-event-per-line text when FILE ends in .txt)
-  --load FILE       explore a saved trace instead of running; binary vs
-                    text is auto-detected from the file's magic
-  --load-mode MODE  how --load brings the file in: 'mmap' (default) maps it
-                    and decodes zero-copy — pool strings resolve into the
-                    mapped bytes; 'heap' reads and parses the owning way
+  --save FILE       write the dumped window to FILE (binary container; a
+                    FILE ending in .txt gets the one-event-per-line text
+                    form, export only: --load and --merge read RTRC alone)
+  --load FILE       explore a saved RTRC dump instead of running; the file
+                    is mapped and decoded zero-copy (pool strings resolve
+                    into the mapped bytes)
   --merge A B ...   k-way merge saved per-node traces (timestamp-ordered,
                     stable for ties); combine with --save to persist
   --stats           print window statistics from the rose::obs registry
@@ -90,7 +89,8 @@ flags:
   --help            show this help and exit
 
 exit status: 0 on success; 1 when a loaded file carries error-severity
-container diagnostics (TB2xx), even if intact frames produced events.
+container diagnostics (TB2xx, including TB201 for a file that is not an
+RTRC container), even if intact frames produced events.
 )";
 
 }  // namespace
@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
   uint64_t seed = 1234;
   std::string save_path;
   std::string load_path;
-  std::string load_mode = "mmap";
   std::string stats_out;
   std::vector<std::string> merge_paths;
   bool merging = false;
@@ -116,13 +115,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
       load_path = argv[++i];
       merging = false;
-    } else if (std::strcmp(argv[i], "--load-mode") == 0 && i + 1 < argc) {
-      load_mode = argv[++i];
-      merging = false;
-      if (load_mode != "mmap" && load_mode != "heap") {
-        std::fprintf(stderr, "trace_explorer: --load-mode must be mmap or heap\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--merge") == 0) {
       merging = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -146,9 +138,9 @@ int main(int argc, char** argv) {
   }
 
   rose::Trace trace;
-  // Zero-copy handle for --load in mmap mode; `view` below reads through it
-  // without ever building an owning Trace (promotion happens only if --save
-  // needs to re-encode).
+  // Zero-copy handle for --load; `view` below reads through it without ever
+  // building an owning Trace (promotion happens only if --save needs to
+  // re-encode).
   rose::MappedTrace mapped;
   rose::Profile profile;
   const rose::Profile* profile_for_extract = nullptr;
@@ -163,40 +155,32 @@ int main(int argc, char** argv) {
     }
     std::vector<rose::Trace> inputs;
     for (const std::string& path : merge_paths) {
-      std::vector<rose::Diagnostic> diags;
-      rose::Trace input = rose::LoadTraceFile(path, &diags);
-      std::printf("--- loaded %s: %zu events ---\n", path.c_str(), input.size());
-      for (const rose::Diagnostic& diag : diags) {
+      // Merge re-interns into one pool, so each input is promoted to an
+      // owning Trace.
+      const rose::MappedTrace input = rose::MappedTrace::OpenFile(path);
+      std::printf("--- loaded %s: %zu events ---\n", path.c_str(), input.event_count());
+      for (const rose::Diagnostic& diag : input.diagnostics()) {
         std::printf("  %s\n", diag.ToString().c_str());
       }
-      if (rose::HasErrors(diags)) {
+      if (rose::HasErrors(input.diagnostics())) {
         load_damaged = true;
       }
-      inputs.push_back(std::move(input));
+      inputs.push_back(input.Promote());
     }
     trace = rose::Trace::Merge(inputs);
     std::printf("--- merged %zu traces: %zu events ---\n", inputs.size(), trace.size());
   } else if (!load_path.empty()) {
-    std::vector<rose::Diagnostic> diags;
-    size_t loaded_events = 0;
-    if (load_mode == "mmap") {
-      mapped = rose::MappedTrace::OpenFile(load_path);
-      diags = mapped.diagnostics();
-      loaded_events = mapped.event_count();
-    } else {
-      trace = rose::LoadTraceFile(load_path, &diags);
-      loaded_events = trace.size();
-    }
+    mapped = rose::MappedTrace::OpenFile(load_path);
     std::printf("--- loaded %s: %zu events (%s) ---\n", load_path.c_str(),
-                loaded_events, load_mode.c_str());
-    for (const rose::Diagnostic& diag : diags) {
+                mapped.event_count(), mapped.load_mode());
+    for (const rose::Diagnostic& diag : mapped.diagnostics()) {
       std::printf("  %s\n", diag.ToString().c_str());
     }
-    if (rose::HasErrors(diags)) {
+    if (rose::HasErrors(mapped.diagnostics())) {
       // Keep exploring whatever survived, but fail the invocation: scripts
       // must not mistake a truncated dump for a good one.
       load_damaged = true;
-      if (loaded_events == 0) {
+      if (mapped.event_count() == 0) {
         return 1;
       }
     }
@@ -231,8 +215,8 @@ int main(int argc, char** argv) {
     trace = std::move(outcome.trace);
   }
 
-  // Every read path below goes through a view: backed by the mapped file in
-  // mmap mode, by the owning Trace otherwise.
+  // Every read path below goes through a view: backed by the mapped file for
+  // --load, by the owning Trace otherwise.
   const rose::TraceView view = mapped.valid() ? mapped.view() : rose::TraceView(trace);
 
   std::map<rose::EventType, int> counts;
@@ -331,14 +315,12 @@ int main(int argc, char** argv) {
                                              /*with_encoded_sizes=*/true, want_index_stats)
                           .c_str());
     if (!load_path.empty()) {
-      // How the bytes came in. resident estimate: a mapped trace keeps only
+      // How the bytes came in. resident estimate: a loaded trace keeps only
       // the event vector plus pool index on the heap — the string payload
-      // stays in the (page-cached) mapping; a heap load owns everything.
-      const size_t event_bytes = view.size() * sizeof(rose::TraceEvent);
-      const size_t resident = event_bytes + (mapped.zero_copy()
-                                                 ? view.pool().size() * 8
-                                                 : view.pool().payload_bytes());
-      std::printf("load_mode: %s\n", mapped.valid() ? mapped.load_mode() : "heap");
+      // stays in the backing bytes (a page-cached mapping for mmap).
+      const size_t resident =
+          view.size() * sizeof(rose::TraceEvent) + view.pool().size() * 8;
+      std::printf("load_mode: %s\n", mapped.load_mode());
       std::printf("mapped bytes: %zu\n", mapped.mapped_bytes());
       std::printf("resident estimate: %zu bytes\n", resident);
     }

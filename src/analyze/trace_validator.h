@@ -35,8 +35,8 @@ class TraceValidator {
   explicit TraceValidator(TraceValidateOptions options = {})
       : options_(std::move(options)) {}
 
-  // Accepts any trace view (a Trace converts implicitly), including ones
-  // backed by a binary dump loaded via Trace::Load.
+  // Accepts any trace view (a Trace converts implicitly), including a
+  // MappedTrace's view of a saved dump.
   std::vector<Diagnostic> Validate(TraceView trace) const;
 
  private:
@@ -45,7 +45,7 @@ class TraceValidator {
 
 // Pool-independent canonical hash of a trace window: FNV-1a over every
 // event's resolved one-line form. Two windows hash equal iff TraceEquals —
-// interning order, pool layout, and text/binary round-trips don't matter.
+// interning order, pool layout, and binary round-trips don't matter.
 // This is the dedup key the serve result cache is built on (a resubmitted
 // dump, or the same dump after save/load/merge, maps to the same diagnosis).
 uint64_t CanonicalTraceHash(TraceView trace);

@@ -39,33 +39,25 @@ struct MappedTrace::Impl {
   bool file_backed = false;
 
   std::vector<TraceEvent> events;
-  StringPool pool;  // External-arena over `bytes` when `zero_copy`.
-  Trace owned;      // Text fallback: a normal owning parse.
-  bool zero_copy = false;
+  StringPool pool;  // External arena over `bytes`.
   std::vector<Diagnostic> diags;
 
   std::string_view bytes() const { return file_backed ? file.bytes() : buffer; }
 };
 
 MappedTrace MappedTrace::Decode(std::shared_ptr<Impl> impl) {
+  // Zero-copy walk: same frames, CRCs, and failure diagnostics (TB201 for
+  // bytes without the RTRC magic) as Trace::ParseBinary, but pool strings
+  // stay in the backing bytes.
   const std::string_view bytes = impl->bytes();
-  if (LooksLikeBinaryTrace(bytes)) {
-    // Zero-copy walk: same frames, CRCs, and failure diagnostics as
-    // Trace::ParseBinary, but pool strings stay in the backing bytes.
-    TraceReader reader(bytes, bytes.data());
-    TraceEvent event;
-    while (reader.Next(&event)) {
-      impl->events.push_back(event);
-    }
-    impl->diags = reader.diagnostics();
-    impl->pool = reader.ReleasePool();
-    impl->zero_copy = true;
-    Metrics().zero_copy_decodes->Inc();
-  } else {
-    // Text dumps have no frame structure to alias; parse them the owning
-    // way. Matches LoadTraceFile's auto-detection.
-    impl->owned = Trace::Parse(std::string(bytes));
+  TraceReader reader(bytes, bytes.data());
+  TraceEvent event;
+  while (reader.Next(&event)) {
+    impl->events.push_back(event);
   }
+  impl->diags = reader.diagnostics();
+  impl->pool = reader.ReleasePool();
+  Metrics().zero_copy_decodes->Inc();
   MappedTrace out;
   out.impl_ = std::move(impl);
   return out;
@@ -102,9 +94,6 @@ TraceView MappedTrace::view() const {
   if (impl_ == nullptr) {
     return TraceView();
   }
-  if (!impl_->zero_copy) {
-    return TraceView(impl_->owned);
-  }
   return TraceView(impl_->events.data(), impl_->events.size(), &impl_->pool);
 }
 
@@ -113,10 +102,7 @@ std::string_view MappedTrace::bytes() const {
 }
 
 size_t MappedTrace::event_count() const {
-  if (impl_ == nullptr) {
-    return 0;
-  }
-  return impl_->zero_copy ? impl_->events.size() : impl_->owned.size();
+  return impl_ != nullptr ? impl_->events.size() : 0;
 }
 
 const std::vector<Diagnostic>& MappedTrace::diagnostics() const {
@@ -133,16 +119,11 @@ size_t MappedTrace::mapped_bytes() const { return mapped() ? impl_->file.size() 
 
 const char* MappedTrace::load_mode() const { return mapped() ? "mmap" : "heap"; }
 
-bool MappedTrace::zero_copy() const { return impl_ != nullptr && impl_->zero_copy; }
-
 Trace MappedTrace::Promote() const {
   if (impl_ == nullptr) {
     return Trace();
   }
   Metrics().promotions->Inc();
-  if (!impl_->zero_copy) {
-    return impl_->owned;  // Already owning; copy out.
-  }
   // Re-intern in id order so the promoted pool assigns identical ids and the
   // copied events need no remapping.
   StringPool pool;
@@ -152,19 +133,12 @@ Trace MappedTrace::Promote() const {
   return Trace(impl_->events, std::move(pool));
 }
 
-bool OpenDumpForSubmit(const std::string& path, MappedTrace* mapped, Trace* trace) {
+bool OpenDumpForSubmit(const std::string& path, MappedTrace* mapped) {
   *mapped = MappedTrace::OpenFile(path);
   for (const Diagnostic& diag : mapped->diagnostics()) {
     std::fprintf(stderr, "  %s\n", diag.ToString().c_str());
   }
-  if (HasErrors(mapped->diagnostics())) {
-    return false;
-  }
-  if (!mapped->zero_copy()) {
-    *trace = mapped->Promote();
-    *mapped = MappedTrace();
-  }
-  return true;
+  return !HasErrors(mapped->diagnostics());
 }
 
 }  // namespace rose

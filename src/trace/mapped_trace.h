@@ -16,9 +16,10 @@
 // TraceViews taken from it are valid only while some copy is alive — the
 // guard() handle makes that testable (tests/trace_io_test.cc).
 //
-// Text dumps (and anything without the RTRC magic) fall back to an owning
-// Trace inside the same handle, so callers see one type either way;
-// load_mode() reports which path served the bytes.
+// This is the only way Rose reads a trace file, and RTRC is the only input
+// format: bytes without the RTRC magic (a .txt export, a short or foreign
+// file) yield a valid handle with zero events and a TB201 diagnostic.
+// load_mode() reports whether mmap or the read fallback served the bytes.
 #ifndef SRC_TRACE_MAPPED_TRACE_H_
 #define SRC_TRACE_MAPPED_TRACE_H_
 
@@ -40,7 +41,7 @@ class MappedTrace {
   // Maps `path` (heap read when mmap refuses it) and decodes it. An unreadable
   // file yields an invalid handle plus a TB206 diagnostic with the errno
   // text; container damage decodes the intact prefix and appends TB2xx
-  // diagnostics, exactly as LoadTraceFile does.
+  // diagnostics, exactly as Trace::ParseBinary does.
   static MappedTrace OpenFile(const std::string& path);
 
   // Adopts `storage` (e.g. a serve submission's trace blob, moved in without
@@ -49,13 +50,13 @@ class MappedTrace {
   static MappedTrace FromBuffer(std::string storage);
 
   // False only for default-constructed handles and unreadable files; damaged
-  // containers are valid-with-diagnostics, matching LoadTraceFile.
+  // containers are valid-with-diagnostics, matching Trace::ParseBinary.
   bool valid() const { return impl_ != nullptr; }
 
   // The decoded events + pool. Valid while any copy of this handle is alive.
   TraceView view() const;
-  // The raw backing bytes (the RTRC container for binary dumps) — what a
-  // zero-copy submission ships over the serve wire. Same lifetime as view().
+  // The raw backing bytes (the RTRC container) — what a zero-copy
+  // submission ships over the serve wire. Same lifetime as view().
   std::string_view bytes() const;
   size_t event_count() const;
   const std::vector<Diagnostic>& diagnostics() const;
@@ -64,11 +65,8 @@ class MappedTrace {
   bool mapped() const;
   size_t mapped_bytes() const;
   // "mmap" or "heap" — what actually backs the bytes (heap covers the
-  // read-fallback, adopted buffers, and text dumps).
+  // read-fallback, adopted buffers, and invalid handles).
   const char* load_mode() const;
-  // True when the decode was zero-copy (binary container, external-arena
-  // pool). False for text dumps, which parse into an owning Trace.
-  bool zero_copy() const;
 
   // Copy-on-write promotion: materializes an owning Trace (private pool,
   // same ids — strings re-interned in id order) for call sites that must
@@ -93,11 +91,9 @@ class MappedTrace {
 
 // Opens the saved dump at `path` for submission over the serve wire. Every
 // diagnostic of the open is printed to stderr; returns false if any is an
-// error. A binary dump stays a zero-copy handle in `*mapped`, whose
-// container bytes ship verbatim (ServeClient::SubmitBlob). A text dump has
-// no container blob to ship, so it is promoted into `*trace` and `*mapped`
-// is left invalid.
-bool OpenDumpForSubmit(const std::string& path, MappedTrace* mapped, Trace* trace);
+// error. On success `*mapped` is a zero-copy handle whose container bytes
+// ship verbatim (ServeClient::SubmitBlob).
+bool OpenDumpForSubmit(const std::string& path, MappedTrace* mapped);
 
 }  // namespace rose
 

@@ -1,7 +1,6 @@
 #include "src/trace/trace_io.h"
 
 #include <array>
-#include <cstring>
 
 #include "src/common/file.h"
 #include "src/common/strings.h"
@@ -470,7 +469,7 @@ TraceReader::TraceReader(std::string_view data) : rest_(data) {
   if (!LooksLikeBinaryTrace(data)) {
     Fail(DiagCode::kBadTraceMagic, Severity::kError,
          StrFormat("input does not start with the RTRC magic (%zu bytes)", data.size()),
-         "is this a text dump? Trace::Load auto-detects the format");
+         "Rose loads only RTRC containers; a .txt export is for reading, not reloading");
     return;
   }
   if (data.size() < kRtrcStreamHeaderSize) {
@@ -787,31 +786,6 @@ Trace Trace::ParseBinary(std::string_view data, std::vector<Diagnostic>* diags) 
   // The reader interned ids in stream order, so its pool resolves the
   // decoded events directly.
   return Trace(std::move(events), reader.ReleasePool());
-}
-
-Trace Trace::Load(std::string_view data, std::vector<Diagnostic>* diags) {
-  if (LooksLikeBinaryTrace(data)) {
-    return ParseBinary(data, diags);
-  }
-  return Parse(std::string(data));
-}
-
-Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags) {
-  std::string bytes;
-  int read_errno = 0;
-  if (!ReadFileBytes(path, &bytes, &read_errno)) {
-    if (diags != nullptr) {
-      Diagnostic diag;
-      diag.code = DiagCode::kTraceFileUnreadable;
-      diag.severity = Severity::kError;
-      diag.message = StrFormat("cannot open trace file %s: %s", path.c_str(),
-                               read_errno != 0 ? std::strerror(read_errno) : "unknown error");
-      diag.hint = "check the path and permissions";
-      diags->push_back(std::move(diag));
-    }
-    return Trace();
-  }
-  return Trace::Load(bytes, diags);
 }
 
 bool SaveTraceFile(const std::string& path, const Trace& trace, bool text) {

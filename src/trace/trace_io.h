@@ -90,8 +90,7 @@ inline int64_t ZigZagDecode(uint64_t v) {
 // CRC-32 (IEEE 802.3 reflected polynomial 0xEDB88320).
 uint32_t Crc32(std::string_view data);
 
-// True when `data` begins with the binary-trace magic (how Trace::Load picks
-// a parser).
+// True when `data` begins with the binary-trace magic.
 bool LooksLikeBinaryTrace(std::string_view data);
 
 // --- Streaming frame protocol (docs/wire_protocol.md) -----------------------
@@ -134,16 +133,9 @@ bool DecodeRtrcEventFrame(std::string_view payload, uint16_t format_version,
 
 // --- File helpers -----------------------------------------------------------
 
-// Reads `path` and parses it with Trace::Load (binary vs text auto-detected).
-// Never throws: an unreadable file yields an empty trace plus a TB206
-// diagnostic; container damage (TB201..TB205) is appended the same way. The
-// caller decides whether a damaged-but-partially-decoded trace is usable —
-// CLIs should treat HasErrors(diags) as a nonzero exit even when events
-// survived.
-Trace LoadTraceFile(const std::string& path, std::vector<Diagnostic>* diags = nullptr);
-
-// Writes `trace` to `path` (binary container, or one-event-per-line text
-// when `text` is set). False when the file cannot be written.
+// Writes `trace` to `path` (binary container, or the export-only
+// one-event-per-line text when `text` is set). False when the file cannot be
+// written. Files are read back through MappedTrace::OpenFile.
 bool SaveTraceFile(const std::string& path, const Trace& trace, bool text = false);
 
 // --- Streaming writer -------------------------------------------------------

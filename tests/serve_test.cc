@@ -305,13 +305,54 @@ TEST(CanonicalTraceHashTest, StableAcrossSerializationAndPoolLayout) {
   // Binary round trip re-interns the pool in stream order.
   Trace reparsed = Trace::ParseBinary(trace->SerializeBinary());
   EXPECT_EQ(CanonicalTraceHash(reparsed), direct);
-  // Text round trip builds a different pool layout entirely.
-  Trace from_text = Trace::Parse(trace->Serialize());
-  EXPECT_EQ(CanonicalTraceHash(from_text), direct);
+  // Re-interning into a pool pre-seeded with unrelated strings shifts every
+  // id: a different pool layout entirely.
+  Trace relaid;
+  relaid.Intern("/unrelated/a");
+  relaid.Intern("10.255.0.9");
+  relaid.Intern("/unrelated/b");
+  std::vector<StrId> cache;
+  for (const TraceEvent& event : trace->events()) {
+    relaid.AppendRemapped(event, trace->pool(), &cache);
+  }
+  EXPECT_EQ(CanonicalTraceHash(relaid), direct);
 
   std::optional<Trace> other = runner.ObtainProductionTrace(profile, 31 + 17);
   ASSERT_TRUE(other.has_value());
   EXPECT_NE(CanonicalTraceHash(*other), direct);
+}
+
+// The hash is the serve cache key and is persisted by the result cache, so
+// its value for a fixed trace is pinned: a change here orphans every cached
+// result.
+TEST(CanonicalTraceHashTest, PinnedForFixedTrace) {
+  Trace trace;
+  TraceEvent scf;
+  scf.ts = 1000;
+  scf.node = 0;
+  scf.type = EventType::kSCF;
+  scf.info = ScfInfo{100, Sys::kWrite, 4, trace.Intern("/data/log"), Err::kEIO,
+                     0x00c0ffee12345678ull, 2};
+  trace.Append(scf);
+  TraceEvent af;
+  af.ts = 2000;
+  af.node = 1;
+  af.type = EventType::kAF;
+  af.info = AfInfo{101, 7};
+  trace.Append(af);
+  TraceEvent nd;
+  nd.ts = 3000;
+  nd.node = 2;
+  nd.type = EventType::kND;
+  nd.info = NdInfo{trace.Intern("10.0.0.1"), trace.Intern("10.0.0.3"), Seconds(2), 40};
+  trace.Append(nd);
+  TraceEvent ps;
+  ps.ts = 4000;
+  ps.node = 1;
+  ps.type = EventType::kPS;
+  ps.info = PsInfo{101, ProcState::kCrashed, 0};
+  trace.Append(ps);
+  EXPECT_EQ(CanonicalTraceHash(trace), 0xa186868d30ceba4eull);
 }
 
 // --- JobQueue ---------------------------------------------------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "src/analyze/diagnostic.h"
 #include "src/common/rng.h"
 #include "src/trace/event.h"
 #include "src/trace/ring_buffer.h"
@@ -56,38 +58,74 @@ TEST(StringPoolTest, CopiedPoolResolvesIndependently) {
   EXPECT_EQ(copy.Intern("beta"), b);  // Same id order from the same history.
 }
 
+// Saves `event` (ids resolving against `pool`) into an RTRC container and
+// decodes it back — the only way a dumped event is ever read again.
+Trace RtrcRoundTrip(const TraceEvent& event, const StringPool& pool) {
+  Trace trace;
+  trace.AppendRemapped(event, pool);
+  std::vector<Diagnostic> diags;
+  Trace decoded = Trace::ParseBinary(trace.SerializeBinary(), &diags);
+  EXPECT_TRUE(diags.empty());
+  EXPECT_EQ(decoded.size(), 1u);
+  return decoded;
+}
+
+// The golden lines below pin ToLine's bytes: they are the input to
+// CanonicalTraceHash, whose value keys the serve result cache, so any change
+// to them is a cache-format change.
 TEST(TraceEventTest, ScfLineRoundTrip) {
   StringPool pool;
   const TraceEvent event = MakeScf(&pool, 12345, 2, Sys::kOpenAt, "/data/x", Err::kEIO);
-  StringPool parsed_pool;
-  TraceEvent parsed;
-  ASSERT_TRUE(TraceEvent::FromLine(event.ToLine(pool), &parsed_pool, &parsed));
-  EXPECT_EQ(parsed.ts, 12345);
-  EXPECT_EQ(parsed.node, 2);
-  EXPECT_EQ(parsed.type, EventType::kSCF);
-  EXPECT_EQ(parsed.scf().sys, Sys::kOpenAt);
-  EXPECT_EQ(parsed_pool.View(parsed.scf().filename), "/data/x");
-  EXPECT_EQ(parsed.scf().err, Err::kEIO);
+  const std::string golden = "12345 SCF node=2 pid=100 sys=openat fd=3 file=/data/x errno=EIO";
+  EXPECT_EQ(event.ToLine(pool), golden);
+  const Trace decoded = RtrcRoundTrip(event, pool);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].ToLine(decoded.pool()), golden);
+  EXPECT_EQ(decoded[0].ts, 12345);
+  EXPECT_EQ(decoded[0].node, 2);
+  EXPECT_EQ(decoded[0].type, EventType::kSCF);
+  EXPECT_EQ(decoded[0].scf().sys, Sys::kOpenAt);
+  EXPECT_EQ(decoded.str(decoded[0].scf().filename), "/data/x");
+  EXPECT_EQ(decoded[0].scf().err, Err::kEIO);
+}
+
+TEST(TraceEventTest, ScfIndexedLineRoundTrip) {
+  StringPool pool;
+  TraceEvent event = MakeScf(&pool, 777, 1, Sys::kWrite, "/data/log", Err::kENOSPC);
+  auto& info = std::get<ScfInfo>(event.info);
+  info.ctx_digest = 0x9e3779b97f4a7c15ull;
+  info.ctx_seq = 3;
+  const std::string golden = "777 SCF node=1 pid=100 sys=write fd=3 file=/data/log errno=ENOSPC ctx=9e3779b97f4a7c15 cseq=3";
+  EXPECT_EQ(event.ToLine(pool), golden);
+  const Trace decoded = RtrcRoundTrip(event, pool);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].ToLine(decoded.pool()), golden);
+  EXPECT_EQ(decoded[0].scf().ctx_digest, 0x9e3779b97f4a7c15ull);
+  EXPECT_EQ(decoded[0].scf().ctx_seq, 3u);
 }
 
 TEST(TraceEventTest, ScfEmptyFilenameRoundTrip) {
   StringPool pool;
   const TraceEvent event = MakeScf(&pool, 7, 0, Sys::kRead, "", Err::kEBADF);
-  StringPool parsed_pool;
-  TraceEvent parsed;
-  ASSERT_TRUE(TraceEvent::FromLine(event.ToLine(pool), &parsed_pool, &parsed));
-  EXPECT_EQ(parsed.scf().filename, kEmptyStrId);
+  const std::string golden = "7 SCF node=0 pid=100 sys=read fd=3 file=- errno=EBADF";
+  EXPECT_EQ(event.ToLine(pool), golden);
+  const Trace decoded = RtrcRoundTrip(event, pool);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].ToLine(decoded.pool()), golden);
+  EXPECT_EQ(decoded[0].scf().filename, kEmptyStrId);
 }
 
 TEST(TraceEventTest, AfLineRoundTrip) {
   const StringPool pool;
   const TraceEvent event = MakeAf(99, 1, 200, 17);
-  StringPool parsed_pool;
-  TraceEvent parsed;
-  ASSERT_TRUE(TraceEvent::FromLine(event.ToLine(pool), &parsed_pool, &parsed));
-  EXPECT_EQ(parsed.type, EventType::kAF);
-  EXPECT_EQ(parsed.af().pid, 200);
-  EXPECT_EQ(parsed.af().function_id, 17);
+  const std::string golden = "99 AF node=1 pid=200 fid=17";
+  EXPECT_EQ(event.ToLine(pool), golden);
+  const Trace decoded = RtrcRoundTrip(event, pool);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].ToLine(decoded.pool()), golden);
+  EXPECT_EQ(decoded[0].type, EventType::kAF);
+  EXPECT_EQ(decoded[0].af().pid, 200);
+  EXPECT_EQ(decoded[0].af().function_id, 17);
 }
 
 TEST(TraceEventTest, NdLineRoundTrip) {
@@ -97,13 +135,15 @@ TEST(TraceEventTest, NdLineRoundTrip) {
   event.node = 3;
   event.type = EventType::kND;
   event.info = NdInfo{pool.Intern("10.0.0.1"), pool.Intern("10.0.0.2"), Seconds(7), 123};
-  StringPool parsed_pool;
-  TraceEvent parsed;
-  ASSERT_TRUE(TraceEvent::FromLine(event.ToLine(pool), &parsed_pool, &parsed));
-  EXPECT_EQ(parsed_pool.View(parsed.nd().src_ip), "10.0.0.1");
-  EXPECT_EQ(parsed_pool.View(parsed.nd().dst_ip), "10.0.0.2");
-  EXPECT_EQ(parsed.nd().duration, Seconds(7));
-  EXPECT_EQ(parsed.nd().packet_count, 123u);
+  const std::string golden = "5000 ND node=3 src=10.0.0.1 dst=10.0.0.2 dur=7000000000 pkts=123";
+  EXPECT_EQ(event.ToLine(pool), golden);
+  const Trace decoded = RtrcRoundTrip(event, pool);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].ToLine(decoded.pool()), golden);
+  EXPECT_EQ(decoded.str(decoded[0].nd().src_ip), "10.0.0.1");
+  EXPECT_EQ(decoded.str(decoded[0].nd().dst_ip), "10.0.0.2");
+  EXPECT_EQ(decoded[0].nd().duration, Seconds(7));
+  EXPECT_EQ(decoded[0].nd().packet_count, 123u);
 }
 
 TEST(TraceEventTest, PsLineRoundTrip) {
@@ -113,31 +153,13 @@ TEST(TraceEventTest, PsLineRoundTrip) {
   event.node = 0;
   event.type = EventType::kPS;
   event.info = PsInfo{150, ProcState::kPaused, Seconds(4)};
-  StringPool parsed_pool;
-  TraceEvent parsed;
-  ASSERT_TRUE(TraceEvent::FromLine(event.ToLine(pool), &parsed_pool, &parsed));
-  EXPECT_EQ(parsed.ps().state, ProcState::kPaused);
-  EXPECT_EQ(parsed.ps().duration, Seconds(4));
-}
-
-TEST(TraceEventTest, MalformedLinesRejected) {
-  StringPool pool;
-  TraceEvent parsed;
-  EXPECT_FALSE(TraceEvent::FromLine("", &pool, &parsed));
-  EXPECT_FALSE(TraceEvent::FromLine("notanumber SCF node=0", &pool, &parsed));
-  EXPECT_FALSE(TraceEvent::FromLine("123 BOGUS node=0", &pool, &parsed));
-}
-
-TEST(TraceTest, SerializeParseRoundTrip) {
-  Trace trace;
-  trace.Append(MakeScf(&trace.pool(), 10, 0, Sys::kWrite, "/a", Err::kENOSPC));
-  trace.Append(MakeAf(20, 1, 101, 5));
-  const Trace parsed = Trace::Parse(trace.Serialize());
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].type, EventType::kSCF);
-  EXPECT_EQ(parsed.str(parsed[0].scf().filename), "/a");
-  EXPECT_EQ(parsed[1].type, EventType::kAF);
-  EXPECT_TRUE(TraceEquals(trace, parsed));
+  const std::string golden = "1 PS node=0 pid=150 state=paused dur=4000000000";
+  EXPECT_EQ(event.ToLine(pool), golden);
+  const Trace decoded = RtrcRoundTrip(event, pool);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].ToLine(decoded.pool()), golden);
+  EXPECT_EQ(decoded[0].ps().state, ProcState::kPaused);
+  EXPECT_EQ(decoded[0].ps().duration, Seconds(4));
 }
 
 TEST(TraceTest, MergeSortsByTimestampStably) {
