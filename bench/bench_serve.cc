@@ -541,9 +541,9 @@ std::string PaddedBlob(const Trace& trace, size_t pad_bytes) {
     payload += filler;
   }
   std::string framed;
-  AppendRtrcFrame(&framed, kFramePool, payload);
+  AppendFrame(&framed, kFramePool, payload);
   // Splice ahead of the trailing end frame (empty payload, header only).
-  blob.insert(blob.size() - kRtrcFrameHeaderSize, framed);
+  blob.insert(blob.size() - kFrameHeaderSize, framed);
   return blob;
 }
 
@@ -565,7 +565,7 @@ void BM_StreamOracleLatency(benchmark::State& state) {
   std::string oracle_frame;
   OracleMark mark;
   mark.detail = "bench";
-  AppendRtrcFrame(&oracle_frame, kFrameOracleMark, EncodeOracleMark(mark));
+  AppendFrame(&oracle_frame, kFrameOracleMark, EncodeOracleMark(mark));
 
   uint64_t seed = 5000;  // Distinct per iteration: never a cache hit.
   for (auto _ : state) {

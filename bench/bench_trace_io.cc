@@ -6,8 +6,8 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
+#include <utility>
 
 #include "src/analyze/trace_validator.h"
 #include "src/common/file.h"
@@ -118,18 +118,25 @@ void BM_StreamBinary(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamBinary)->Unit(benchmark::kMillisecond);
 
+// A file removed when the process exits.
+struct ScratchFile {
+  explicit ScratchFile(std::string p) : path(std::move(p)) {}
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+  ~ScratchFile() { std::remove(path.c_str()); }
+  std::string path;
+};
+
 // The binary window written to disk once — the on-disk dump both load-path
-// benchmarks read. Lives for the process; size printed by the first user.
+// benchmarks read. Lives for the process and is removed at exit.
 const std::string& WindowFile() {
-  static const std::string path = [] {
+  static const ScratchFile file{[] {
     const std::string p =
         (std::filesystem::temp_directory_path() / "rose_bench_window.trc").string();
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    const std::string encoded = Window().SerializeBinary();
-    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+    WriteFile(p, Window().SerializeBinary());
     return p;
-  }();
-  return path;
+  }()};
+  return file.path;
 }
 
 // The pre-mmap pipeline, kept here as the baseline the mapped load is

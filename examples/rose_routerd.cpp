@@ -67,6 +67,12 @@ flags:
 
 example (two shards, one killed mid-job; the survivor finishes all jobs):
   rose_routerd --shards 2 --kill-shard shard0 RedisRaft-42 RedisRaft-43
+
+exit status: 0 when every bug reproduced and its schedule was written; 1
+when a job was rejected or did not reproduce, a schedule could not be
+written, or a dump could not be obtained; 2 on a usage error, an
+unwritable --stats-out, or a --journal FILE that exists but is not a
+journal this build reads (FILE is left untouched).
 )";
 
 // One backend shard: a full DiagnosisService on its own "socket".
@@ -134,6 +140,14 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out_dir, mkdir_error);
 
   rose::ClusterRouter router(router_config);
+  if (router.journal().error() != rose::JournalError::kNone) {
+    std::fprintf(stderr, "rose_routerd: %s is %s; refusing to replay or overwrite it\n",
+                 router_config.journal_path.c_str(),
+                 router.journal().error() == rose::JournalError::kUnsupportedVersion
+                     ? "a journal of an unsupported version"
+                     : "not a coordinator journal");
+    return 2;
+  }
   std::vector<ShardProc> shards(static_cast<size_t>(shard_count));
   for (size_t i = 0; i < shards.size(); i++) {
     shards[i].name = "shard" + std::to_string(i);

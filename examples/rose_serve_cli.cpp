@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     rose::OracleMark mark;
     mark.detail = "cli replay";
     std::string tail;
-    rose::AppendRtrcFrame(&tail, rose::kFrameOracleMark, rose::EncodeOracleMark(mark));
+    rose::AppendFrame(&tail, rose::kFrameOracleMark, rose::EncodeOracleMark(mark));
     client.StreamData(handle, tail);
     return handle;
   };

@@ -2,56 +2,10 @@
 
 #include <fcntl.h>
 
-#include <cstring>
-
 #include "src/common/file.h"
-#include "src/trace/trace_io.h"
+#include "src/common/wire.h"
 
 namespace rose {
-
-namespace {
-
-constexpr size_t kRecordHeaderBytes = 1 + 4 + 4;  // type | len | crc.
-constexpr size_t kStreamHeaderBytes = 8;          // magic | version | reserved.
-
-void PutU32LE(std::string* out, uint32_t v) {
-  char bytes[4] = {static_cast<char>(v & 0xff), static_cast<char>((v >> 8) & 0xff),
-                   static_cast<char>((v >> 16) & 0xff),
-                   static_cast<char>((v >> 24) & 0xff)};
-  out->append(bytes, 4);
-}
-
-uint32_t ReadU32LE(const char* p) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(p[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(p[3])) << 24;
-}
-
-void PutLengthPrefixed(std::string* out, std::string_view bytes) {
-  PutVarint(out, bytes.size());
-  out->append(bytes.data(), bytes.size());
-}
-
-bool GetLengthPrefixed(std::string_view* data, std::string_view* out) {
-  uint64_t len = 0;
-  if (!GetVarint(data, &len) || len > data->size()) {
-    return false;
-  }
-  *out = data->substr(0, static_cast<size_t>(len));
-  data->remove_prefix(static_cast<size_t>(len));
-  return true;
-}
-
-std::string StreamHeader() {
-  std::string out(kJournalMagic, 4);
-  out.push_back(static_cast<char>(kJournalFormatVersion & 0xff));
-  out.push_back(static_cast<char>(kJournalFormatVersion >> 8));
-  out.append(2, '\0');
-  return out;
-}
-
-}  // namespace
 
 // --- Record codecs -----------------------------------------------------------
 
@@ -127,7 +81,7 @@ bool DecodeComplete(std::string_view payload, CompleteRecord* out) {
 
 ClusterJournal::ClusterJournal(std::string path) : path_(std::move(path)) {
   Replay();
-  if (!path_.empty()) {
+  if (!path_.empty() && error_ == JournalError::kNone) {
     // Appends land at end of file, which must sit right after the last
     // intact record: replay dropped a torn tail from history_, so cut it
     // from the file too. A file that cannot be cut is not written to.
@@ -137,7 +91,7 @@ ClusterJournal::ClusterJournal(std::string path) : path_(std::move(path)) {
     }
   }
   if (history_.empty()) {
-    history_ = StreamHeader();
+    AppendWireHeader(&history_, kJournalMagic, kJournalFormatVersion);
     WriteDurably(history_);
   }
 }
@@ -147,38 +101,39 @@ void ClusterJournal::Replay() {
   if (path_.empty() || !ReadFileBytes(path_, &bytes) || bytes.empty()) {
     return;
   }
-  if (bytes.size() < kStreamHeaderBytes ||
-      std::memcmp(bytes.data(), kJournalMagic, 4) != 0) {
-    // Not a journal: refuse to adopt it. Appends start a fresh stream at
-    // offset zero (the constructor truncates).
+  std::string header;
+  AppendWireHeader(&header, kJournalMagic, kJournalFormatVersion);
+  if (bytes.size() < header.size() && header.compare(0, bytes.size(), bytes) == 0) {
+    // A crash while writing the header: start over from offset zero.
     recovered_torn_tail_ = true;
     return;
   }
-  const uint16_t version = static_cast<uint16_t>(
-      static_cast<uint8_t>(bytes[4]) | static_cast<uint8_t>(bytes[5]) << 8);
-  if (version != kJournalFormatVersion) {
-    recovered_torn_tail_ = true;
-    return;
+  uint16_t version = 0;
+  switch (CheckWireHeader(bytes, kJournalMagic, kJournalFormatVersion, &version)) {
+    case HeaderStatus::kOk:
+      break;
+    case HeaderStatus::kBadVersion:
+      error_ = JournalError::kUnsupportedVersion;
+      return;
+    case HeaderStatus::kBadMagic:
+    case HeaderStatus::kTruncated:
+      error_ = JournalError::kNotAJournal;
+      return;
   }
-  size_t offset = kStreamHeaderBytes;
-  size_t last_good = offset;
-  while (bytes.size() - offset >= kRecordHeaderBytes) {
-    const uint8_t type = static_cast<uint8_t>(bytes[offset]);
-    const uint32_t len = ReadU32LE(bytes.data() + offset + 1);
-    const uint32_t crc = ReadU32LE(bytes.data() + offset + 5);
-    if (len > kMaxJournalRecordPayload ||
-        bytes.size() - offset - kRecordHeaderBytes < len) {
-      break;  // Torn tail (crash mid-append).
-    }
-    const std::string_view payload(bytes.data() + offset + kRecordHeaderBytes, len);
-    if (Crc32(payload) != crc) {
-      break;  // Corrupt tail; everything before it is intact.
+  std::string_view rest(bytes);
+  rest.remove_prefix(kWireHeaderSize);
+  for (;;) {
+    // Truncation, a bad CRC or an absurd length is a torn or corrupt tail
+    // (a crash mid-append); everything before it is intact.
+    const Frame frame = SplitFrame(rest, kMaxJournalRecordPayload);
+    if (frame.status != FrameStatus::kFrame) {
+      break;
     }
     bool decoded = true;
-    switch (static_cast<JournalRecordType>(type)) {
+    switch (static_cast<JournalRecordType>(frame.kind)) {
       case JournalRecordType::kRingEpoch: {
         RingEpochRecord record;
-        decoded = DecodeRingEpoch(payload, &record);
+        decoded = DecodeRingEpoch(frame.payload, &record);
         if (decoded) {
           last_epoch_ = std::move(record);
         }
@@ -186,7 +141,7 @@ void ClusterJournal::Replay() {
       }
       case JournalRecordType::kDispatch: {
         DispatchRecord record;
-        decoded = DecodeDispatch(payload, &record);
+        decoded = DecodeDispatch(frame.payload, &record);
         if (decoded) {
           if (record.job_id >= next_job_id_) {
             next_job_id_ = record.job_id + 1;
@@ -197,7 +152,7 @@ void ClusterJournal::Replay() {
       }
       case JournalRecordType::kComplete: {
         CompleteRecord record;
-        decoded = DecodeComplete(payload, &record);
+        decoded = DecodeComplete(frame.payload, &record);
         if (decoded) {
           pending_.erase(record.job_id);
         }
@@ -211,21 +166,17 @@ void ClusterJournal::Replay() {
     if (!decoded) {
       break;  // A framed-but-undecodable record is corruption, not extension.
     }
-    offset += kRecordHeaderBytes + len;
-    last_good = offset;
+    rest.remove_prefix(frame.consumed);
     replayed_records_++;
   }
-  recovered_torn_tail_ = last_good != bytes.size();
-  history_ = bytes.substr(0, last_good);
+  recovered_torn_tail_ = !rest.empty();
+  history_ = bytes.substr(0, bytes.size() - rest.size());
 }
 
 void ClusterJournal::Append(JournalRecordType type, std::string_view payload) {
   std::string frame;
-  frame.reserve(kRecordHeaderBytes + payload.size());
-  frame.push_back(static_cast<char>(type));
-  PutU32LE(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32LE(&frame, Crc32(payload));
-  frame.append(payload.data(), payload.size());
+  frame.reserve(kFrameHeaderSize + payload.size());
+  AppendFrame(&frame, static_cast<uint8_t>(type), payload);
   history_ += frame;
   appends_++;
   WriteDurably(frame);

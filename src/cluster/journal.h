@@ -4,11 +4,10 @@
 // recoverable from a lightweight record, not luck. The router appends every
 // consequential coordinator decision — ring membership epochs, job
 // dispatches (including the full submit payload, so a job can be re-posed
-// from the journal alone), and completions — to an append-only, CRC-framed
-// log modeled on the raft write-ahead-log shape:
+// from the journal alone), and completions — to an append-only log modeled
+// on the raft write-ahead-log shape: an 'RJNL' header, then one CRC-checked
+// frame of the shared codec (src/common/wire.h) per record.
 //
-//   header:  'R' 'J' 'N' 'L' | u16 version (LE) | u16 reserved
-//   record:  u8 type | u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
 //   types:   1 = ring epoch, 2 = dispatch, 3 = complete
 //
 // Durability: each append is written and fsync'd before the router acts on
@@ -16,7 +15,9 @@
 // observable behavior. Replay tolerates a torn tail — a crash mid-append
 // leaves a truncated or CRC-broken final record, which replay drops and
 // Append() then overwrites (the file is truncated back to the last good
-// record), exactly the recovery the RTRC trace container practices.
+// record), exactly the recovery the RTRC trace container practices. A file
+// that is not a journal is never adopted, truncated or appended to: error()
+// says why, and the journal keeps its records in memory only.
 //
 // Replication: followers receive the journal as a byte stream over a
 // Transport — the same framed bytes that hit the leader's disk, so a
@@ -46,6 +47,13 @@ inline constexpr uint16_t kJournalFormatVersion = 1;
 // A dispatch record embeds a whole submit payload; anything beyond this is
 // a corrupt length field, not a plausible record.
 inline constexpr uint32_t kMaxJournalRecordPayload = 256u * 1024u * 1024u;
+
+// Why an existing file was refused as a journal (ClusterJournal::error()).
+enum class JournalError : uint8_t {
+  kNone = 0,
+  kNotAJournal,         // No RJNL header, and not a torn prefix of one.
+  kUnsupportedVersion,  // An RJNL header with a version this build cannot read.
+};
 
 enum class JournalRecordType : uint8_t {
   kRingEpoch = 1,
@@ -110,6 +118,8 @@ class ClusterJournal {
   uint64_t replayed_records() const { return replayed_records_; }
   // True when replay dropped a torn/corrupt tail (now truncated away).
   bool recovered_torn_tail() const { return recovered_torn_tail_; }
+  // kNone unless the file at path() was refused; the file is then untouched.
+  JournalError error() const { return error_; }
 
   // --- Counters (mirrored into cluster.journal_* metrics by the owner) ------
   uint64_t appends() const { return appends_; }
@@ -152,6 +162,7 @@ class ClusterJournal {
   uint64_t next_job_id_ = 1;
   uint64_t replayed_records_ = 0;
   bool recovered_torn_tail_ = false;
+  JournalError error_ = JournalError::kNone;
 
   uint64_t appends_ = 0;
   uint64_t fsyncs_ = 0;

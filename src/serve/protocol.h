@@ -1,11 +1,9 @@
 // rose::serve wire protocol (DESIGN.md §10).
 //
-// Both directions of a serve connection carry the same byte grammar,
-// deliberately reusing the binary trace container's primitives (trace_io.h:
-// LEB128 varints, zigzag, CRC32, length-prefixed frames):
-//
-//   stream:  'R' 'S' 'R' 'V' | u16 version (LE) | u16 reserved | frame*
-//   frame:   u8 kind | u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
+// Both directions of a serve connection carry the same byte grammar: an
+// 'RSRV' header, then CRC-checked frames of the codec every Rose wire format
+// shares (src/common/wire.h: frames, LEB128 varints, zigzag,
+// length-prefixed runs).
 //
 // Client -> server frames:
 //   kSubmit    — one diagnosis job: bug id, seed, profile baseline, RTRC
@@ -40,6 +38,7 @@
 #include <vector>
 
 #include "src/analyze/diagnostic.h"
+#include "src/common/wire.h"
 #include "src/net/transport.h"
 #include "src/profile/profiler.h"
 #include "src/trace/event.h"
@@ -311,10 +310,10 @@ class FrameDecoder {
     kNeedMore = 0,   // No complete frame buffered yet.
     kFrame,          // `out` holds the next frame.
     kCorruptFrame,   // A frame failed its CRC and was skipped; stream continues.
-    kBadStream,      // Header magic/version invalid; the connection is dead.
+    kBadStream,      // Bad header or absurd frame length; the connection is dead.
   };
 
-  void Feed(std::string_view bytes) { buffer_.append(bytes.data(), bytes.size()); }
+  void Feed(std::string_view bytes) { buffer_.Feed(bytes); }
 
   // Pulls the next event out of the buffer. Call until kNeedMore.
   Status Next(DecodedFrame* out);
@@ -322,13 +321,10 @@ class FrameDecoder {
   bool header_ok() const { return header_done_ && !dead_; }
   bool dead() const { return dead_; }
   // Bytes buffered but not yet consumed (reassembly backlog).
-  size_t buffered() const { return buffer_.size() - consumed_; }
+  size_t buffered() const { return buffer_.buffered(); }
 
  private:
-  void Compact();
-
-  std::string buffer_;
-  size_t consumed_ = 0;
+  FrameBuffer buffer_;
   bool header_done_ = false;
   bool dead_ = false;
 };

@@ -19,7 +19,7 @@ void StreamSink::Open(std::string_view bug_id, uint64_t seed, std::string_view t
   header.epoch = epoch;
   header.start_ts = 0;
   header.source = std::string(source);
-  AppendRtrcFrame(&wire_, kFrameStreamEpoch, EncodeStreamEpoch(header));
+  AppendFrame(&wire_, kFrameStreamEpoch, EncodeStreamEpoch(header));
   Ship();
 }
 
@@ -57,7 +57,7 @@ void StreamSink::NotifyOracle(SimTime ts, std::string_view detail) {
   OracleMark mark;
   mark.ts = ts;
   mark.detail = std::string(detail);
-  AppendRtrcFrame(&wire_, kFrameOracleMark, EncodeOracleMark(mark));
+  AppendFrame(&wire_, kFrameOracleMark, EncodeOracleMark(mark));
   Ship();
 }
 

@@ -72,11 +72,17 @@ class StringPool {
     assert(entries_.size() == 1 && "bind before appending entries");
     external_base_ = base;
   }
-  void AppendExternal(size_t offset, size_t length) {
+  // Appends `s`, which must lie in the bound arena, as the next entry; false
+  // when its offset or length does not fit an entry.
+  bool AppendExternal(std::string_view s) {
     assert(external_base_ != nullptr);
-    entries_.push_back(
-        Entry{static_cast<uint32_t>(offset), static_cast<uint32_t>(length)});
-    payload_bytes_ += length;
+    const auto offset = static_cast<size_t>(s.data() - external_base_);
+    if (offset > UINT32_MAX || s.size() > UINT32_MAX) {
+      return false;
+    }
+    entries_.push_back(Entry{static_cast<uint32_t>(offset), static_cast<uint32_t>(s.size())});
+    payload_bytes_ += s.size();
+    return true;
   }
   void ReserveEntries(size_t n) { entries_.reserve(n); }
   bool external() const { return external_base_ != nullptr; }

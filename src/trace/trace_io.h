@@ -4,10 +4,9 @@
 // artifact the diagnosis phase re-reads thousands of times; text lines make
 // that artifact ~10x larger and ~10x slower to parse than necessary. The
 // binary container stores the interned string table and varint-delta
-// encoded events in CRC-checked frames:
+// encoded events in CRC-checked frames (the shared codec, src/common/wire.h)
+// behind an 'RTRC' header:
 //
-//   header:  'R' 'T' 'R' 'C' | u16 version (LE) | u16 reserved
-//   frame:   u8 kind | u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
 //   kinds:   1 = string-pool delta, 2 = event chunk, 3 = end-of-stream
 //
 // Pool frames carry the strings newly interned since the previous pool
@@ -35,6 +34,7 @@
 #include <vector>
 
 #include "src/analyze/diagnostic.h"
+#include "src/common/wire.h"
 #include "src/trace/event.h"
 #include "src/trace/string_pool.h"
 
@@ -54,10 +54,6 @@ inline constexpr uint8_t kFrameEvents = 2;
 inline constexpr uint8_t kFrameEnd = 3;
 inline constexpr uint8_t kFrameStreamEpoch = 4;
 inline constexpr uint8_t kFrameOracleMark = 5;
-// u8 kind + u32 payload_len + u32 crc32.
-inline constexpr size_t kRtrcFrameHeaderSize = 1 + 4 + 4;
-// 'RTRC' + u16 version + u16 reserved.
-inline constexpr size_t kRtrcStreamHeaderSize = 4 + 2 + 2;
 // Streaming decoders bound the announced payload length (a dump reader has
 // the whole artifact in hand and needs no cap; a stream decoder must not
 // buffer unboundedly on a corrupted length field).
@@ -70,28 +66,6 @@ inline constexpr uint16_t kTraceFormatVersion = 2;
 // The pre-execution-index wire format; TraceWriter can still emit it (compat
 // tests and downgrade paths).
 inline constexpr uint16_t kTraceLegacyFormatVersion = 1;
-
-// --- Encoding primitives (exposed for tests and benchmarks) ----------------
-
-// LEB128 unsigned varint.
-void PutVarint(std::string* out, uint64_t value);
-// Consumes a varint from the front of `*data`; false on overrun/overflow.
-bool GetVarint(std::string_view* data, uint64_t* value);
-
-// Zigzag maps small-magnitude signed values (timestamp deltas, fds, pids)
-// onto small unsigned varints.
-inline uint64_t ZigZagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-inline int64_t ZigZagDecode(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-// CRC-32 (IEEE 802.3 reflected polynomial 0xEDB88320).
-uint32_t Crc32(std::string_view data);
-
-// True when `data` begins with the binary-trace magic.
-bool LooksLikeBinaryTrace(std::string_view data);
 
 // --- Streaming frame protocol (docs/wire_protocol.md) -----------------------
 
@@ -115,16 +89,13 @@ bool DecodeStreamEpoch(std::string_view payload, StreamEpoch* out);
 std::string EncodeOracleMark(const OracleMark& mark);
 bool DecodeOracleMark(std::string_view payload, OracleMark* out);
 
-// Appends the 8-byte container header ('RTRC' + version + reserved).
-void AppendRtrcHeader(std::string* out, uint16_t format_version = kTraceFormatVersion);
-// Appends one CRC-framed container frame (the exact grammar TraceWriter
-// emits; exposed so streaming senders can interleave epoch/oracle frames
-// with writer-produced pool/event frames).
-void AppendRtrcFrame(std::string* out, uint8_t kind, std::string_view payload);
-
-// Decodes one string-pool delta frame payload into `*pool` (copying mode).
-// False on malformed payloads or ids out of stream order.
-bool DecodeRtrcPoolFrame(std::string_view payload, StringPool* pool);
+// Decodes one string-pool delta frame payload into `*pool`. A copying pool
+// interns each string; an external-arena pool (zero-copy mode) records it as
+// a view into its arena, with `*external_seen` standing in for Intern's
+// duplicate check (required for such a pool, kept across frames). False on
+// malformed payloads, empty or duplicate strings, or ids out of stream order.
+bool DecodeRtrcPoolFrame(std::string_view payload, StringPool* pool,
+                         std::unordered_set<std::string_view>* external_seen = nullptr);
 // Decodes one event frame payload, appending to `*out`. `*prev_ts` carries
 // the timestamp-delta base across frames (the writer's does too); events
 // referencing pool ids >= `pool_size` fail.
@@ -165,7 +136,6 @@ class TraceWriter {
  private:
   void FlushEvents();
   void FlushPool();
-  void EmitFrame(uint8_t kind, std::string_view payload);
 
   std::string* out_;
   const StringPool* pool_;
@@ -213,17 +183,14 @@ class TraceReader {
   // Decodes frames until an event frame yields events, the end frame is
   // seen, or the stream fails. Returns true when frame_events_ has data.
   bool LoadFrame();
-  bool DecodePoolFrame(std::string_view payload);
-  bool DecodeEventFrame(std::string_view payload);
   void Fail(DiagCode code, Severity severity, std::string message, std::string hint);
 
   std::string_view rest_;
   StringPool pool_;
   uint16_t format_version_ = 0;
-  // Zero-copy pool mode (see the two-arg constructor); null = copying mode.
-  const char* external_base_ = nullptr;
-  // Duplicate detection for external pools — copying mode gets it for free
-  // from Intern's index. Views point into the caller's stable buffer.
+  // Duplicate detection for an external pool (the two-arg constructor);
+  // copying mode gets it from Intern's index. Views point into the caller's
+  // stable buffer.
   std::unordered_set<std::string_view> external_seen_;
   std::vector<Diagnostic> diags_;
   bool done_ = false;
@@ -257,7 +224,7 @@ class StreamDecoder {
     kBadStream,   // Unusable stream (magic/version/length); decoder is dead.
   };
 
-  void Feed(std::string_view bytes);
+  void Feed(std::string_view bytes) { buffer_.Feed(bytes); }
   // Consumes buffered frames until something reportable happens. Pool-delta
   // and unknown-kind frames are absorbed silently.
   Item Next();
@@ -266,15 +233,14 @@ class StreamDecoder {
   const StreamEpoch& epoch() const { return epoch_; }
   const OracleMark& oracle() const { return oracle_; }
   const StringPool& pool() const { return pool_; }
+  // 0 until a valid header has been consumed.
   uint16_t format_version() const { return format_version_; }
   // Bytes fed but not yet consumed (partial frame tail).
-  size_t buffered() const { return buffer_.size() - consumed_; }
+  size_t buffered() const { return buffer_.buffered(); }
   uint64_t corrupt_frames() const { return corrupt_frames_; }
 
  private:
-  std::string buffer_;
-  size_t consumed_ = 0;
-  bool header_done_ = false;
+  FrameBuffer buffer_;
   bool dead_ = false;
   uint16_t format_version_ = 0;
   StringPool pool_;

@@ -19,6 +19,7 @@
 #include "src/cluster/journal.h"
 #include "src/cluster/router.h"
 #include "src/common/file.h"
+#include "src/common/wire.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/rose.h"
 #include "src/harness/runner.h"
@@ -218,6 +219,52 @@ TEST(ClusterJournalTest, TornTailIsDroppedOnReplayAndTruncatedAway) {
   EXPECT_EQ(reopened.replayed_records(), 2u);
   EXPECT_EQ(reopened.pending().size(), 2u);
   EXPECT_EQ(reopened.next_job_id(), 4u);
+  std::filesystem::remove(path);
+}
+
+// A file that is not a journal is refused and left byte for byte as it was;
+// one that holds only part of the header (a crash while writing it) starts a
+// fresh journal.
+TEST(ClusterJournalTest, NonJournalFileIsLeftUntouched) {
+  const std::string path = TempPath("rose_journal_not_a_journal.md");
+  std::string newer_version;
+  AppendWireHeader(&newer_version, kJournalMagic, kJournalFormatVersion + 1);
+  struct Case {
+    std::string bytes;
+    JournalError error;
+  };
+  const std::vector<Case> cases = {
+      {"# Notes\n\nNot a journal, but a file someone cares about.\n",
+       JournalError::kNotAJournal},
+      // The magic, then a version byte no writer emits: not a torn header.
+      {std::string("RJNL\x07", 5), JournalError::kNotAJournal},
+      {newer_version + "payload", JournalError::kUnsupportedVersion},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(WriteFile(path, c.bytes));
+    {
+      ClusterJournal journal(path);
+      EXPECT_EQ(journal.error(), c.error);
+      EXPECT_EQ(journal.replayed_records(), 0u);
+      journal.AppendComplete(CompleteRecord{1, true});
+      EXPECT_EQ(journal.bytes_written(), 0u);
+    }
+    std::string after;
+    ASSERT_TRUE(ReadFileBytes(path, &after));
+    EXPECT_EQ(after, c.bytes);
+  }
+
+  std::string header;
+  AppendWireHeader(&header, kJournalMagic, kJournalFormatVersion);
+  ASSERT_TRUE(WriteFile(path, header.substr(0, 5)));
+  {
+    ClusterJournal journal(path);
+    EXPECT_EQ(journal.error(), JournalError::kNone);
+    EXPECT_TRUE(journal.recovered_torn_tail());
+  }
+  std::string after;
+  ASSERT_TRUE(ReadFileBytes(path, &after));
+  EXPECT_EQ(after, header);
   std::filesystem::remove(path);
 }
 

@@ -158,6 +158,18 @@ TEST(ServeProtocolTest, NewerVersionIsRejected) {
   EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Status::kBadStream);
 }
 
+TEST(ServeProtocolTest, VersionZeroIsRejected) {
+  std::string wire;
+  AppendServeHeader(&wire);
+  wire[4] = 0;  // u16 LE version 0: below every real version.
+  AppendServeFrame(&wire, ServeFrame::kStatsRequest, "");
+  FrameDecoder decoder;
+  decoder.Feed(wire);
+  DecodedFrame frame;
+  EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Status::kBadStream);
+  EXPECT_TRUE(decoder.dead());
+}
+
 // --- ServePeer: the connection pump every endpoint shares -------------------
 
 TEST(ServePeerTest, HeaderIsQueuedAtConstruction) {

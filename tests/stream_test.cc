@@ -121,7 +121,7 @@ std::string BuildStream(const Trace& trace, size_t events_per_frame) {
   epoch.epoch = 3;
   epoch.start_ts = Seconds(2);
   epoch.source = "node-0/tracer";
-  AppendRtrcFrame(&stream, kFrameStreamEpoch, EncodeStreamEpoch(epoch));
+  AppendFrame(&stream, kFrameStreamEpoch, EncodeStreamEpoch(epoch));
   for (const TraceEvent& event : trace.events()) {
     writer.Add(event);
   }
@@ -129,7 +129,7 @@ std::string BuildStream(const Trace& trace, size_t events_per_frame) {
   OracleMark mark;
   mark.ts = Seconds(9);
   mark.detail = "watchdog: leader lost";
-  AppendRtrcFrame(&stream, kFrameOracleMark, EncodeOracleMark(mark));
+  AppendFrame(&stream, kFrameOracleMark, EncodeOracleMark(mark));
   return stream;
 }
 
@@ -237,13 +237,13 @@ TEST_F(StreamTracerTest, CorruptFrameResyncsAndTheOracleStillArrives) {
   writer.Finish();
   OracleMark mark;
   mark.detail = "after damage";
-  AppendRtrcFrame(&stream, kFrameOracleMark, EncodeOracleMark(mark));
+  AppendFrame(&stream, kFrameOracleMark, EncodeOracleMark(mark));
 
   // Flip the first payload byte of the leading pool frame: that frame fails
   // its CRC, downstream event frames reference unknown pool ids — every one
   // is consumed by its announced length and skipped, and the decoder stays
   // alive to deliver the oracle mark.
-  stream[writer_begin + kRtrcFrameHeaderSize] ^= 0x5a;
+  stream[writer_begin + kFrameHeaderSize] ^= 0x5a;
   StreamDecoder decoder;
   decoder.Feed(stream);
   bool saw_oracle = false;
@@ -300,7 +300,7 @@ std::string OracleTail(const std::string& detail) {
   mark.ts = Seconds(30);
   mark.detail = detail;
   std::string tail;
-  AppendRtrcFrame(&tail, kFrameOracleMark, EncodeOracleMark(mark));
+  AppendFrame(&tail, kFrameOracleMark, EncodeOracleMark(mark));
   return tail;
 }
 

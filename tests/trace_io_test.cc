@@ -82,41 +82,6 @@ Trace RandomTrace(uint64_t seed, int events) {
   return trace;
 }
 
-TEST(VarintTest, RoundTripsBoundaryValues) {
-  for (uint64_t value : {0ull, 1ull, 127ull, 128ull, 16383ull, 16384ull,
-                         0xFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull}) {
-    std::string buffer;
-    PutVarint(&buffer, value);
-    std::string_view rest = buffer;
-    uint64_t decoded = 0;
-    ASSERT_TRUE(GetVarint(&rest, &decoded));
-    EXPECT_EQ(decoded, value);
-    EXPECT_TRUE(rest.empty());
-  }
-}
-
-TEST(VarintTest, TruncatedInputFails) {
-  std::string buffer;
-  PutVarint(&buffer, 1ull << 40);
-  std::string_view rest(buffer.data(), buffer.size() - 1);
-  uint64_t decoded = 0;
-  EXPECT_FALSE(GetVarint(&rest, &decoded));
-}
-
-TEST(ZigZagTest, RoundTripsSignedValues) {
-  for (int64_t value : {0ll, 1ll, -1ll, 63ll, -64ll, (1ll << 40), -(1ll << 40)}) {
-    EXPECT_EQ(ZigZagDecode(ZigZagEncode(value)), value);
-  }
-  EXPECT_EQ(ZigZagEncode(-1), 1u);  // Small magnitudes stay small.
-  EXPECT_EQ(ZigZagEncode(1), 2u);
-}
-
-TEST(Crc32Test, MatchesKnownVector) {
-  // The canonical IEEE 802.3 check value.
-  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(Crc32(""), 0u);
-}
-
 TEST(TraceIoTest, BinaryRoundTripPreservesEvents) {
   for (uint64_t seed = 1; seed <= 8; seed++) {
     const Trace original = RandomTrace(seed * 7919, 500);
@@ -228,6 +193,23 @@ TEST(TraceIoTest, FutureVersionRejectedWithDiagnostic) {
   EXPECT_TRUE(parsed.empty());
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].code, DiagCode::kBadTraceVersion);
+}
+
+TEST(TraceIoTest, VersionZeroRejectedWithDiagnostic) {
+  // Versions start at 1: a zero version field is damage, as StreamDecoder
+  // has always treated it.
+  std::string encoded = RandomTrace(3, 10).SerializeBinary();
+  encoded[4] = 0;
+  encoded[5] = 0;
+  std::vector<Diagnostic> diags;
+  const Trace parsed = Trace::ParseBinary(encoded, &diags);
+  EXPECT_TRUE(parsed.empty());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].code, DiagCode::kBadTraceVersion);
+  EXPECT_EQ(diags[0].severity, Severity::kError);
+  StreamDecoder decoder;
+  decoder.Feed(encoded);
+  EXPECT_EQ(decoder.Next(), StreamDecoder::Item::kBadStream);
 }
 
 // --- Wire-version compatibility (DESIGN.md §14) -----------------------------
@@ -549,7 +531,9 @@ TEST(MappedTraceTest, TextDumpYieldsBadMagic) {
   // The text form is export only: a file written by Serialize() opens to a
   // valid handle holding no events and one TB201 error.
   const Trace original = RandomTrace(9, 64);
-  EXPECT_FALSE(LooksLikeBinaryTrace(original.Serialize()));
+  uint16_t version = 0;
+  EXPECT_EQ(CheckWireHeader(original.Serialize(), kTraceMagic, kTraceFormatVersion, &version),
+            HeaderStatus::kBadMagic);
   const std::string path = TempTracePath("mapped_text.trc");
   WriteBytes(path, original.Serialize());
   const MappedTrace mapped = MappedTrace::OpenFile(path);
