@@ -6,6 +6,9 @@
 // enters takeSnapshot — a condition no amount of timing luck can replicate.
 //
 // Usage: ./build/examples/inject_faults
+//
+// Exit codes: 0 every fault was injected, 1 some fault was not, 2 the
+// schedule does not parse.
 #include <cstdio>
 
 #include "src/apps/minizk/minizk.h"
@@ -43,9 +46,10 @@ int main() {
 )",
                                      take_snapshot);
   FaultSchedule schedule;
-  if (!FaultSchedule::FromYaml(yaml, &schedule)) {
-    std::fprintf(stderr, "failed to parse schedule\n");
-    return 1;
+  std::string error;
+  if (!FaultSchedule::FromYaml(yaml, &schedule, &error)) {
+    std::fprintf(stderr, "inject_faults: cannot parse the schedule: %s\n", error.c_str());
+    return 2;
   }
   std::printf("parsed schedule '%s': %s\n\n", schedule.name.c_str(),
               schedule.Summary().c_str());

@@ -68,7 +68,10 @@ flags:
 
 exit status: 0 clean (warnings allowed), 1 error-severity lint or
 feasibility findings, 2 input failure (unreadable or unparseable files,
-including TB2xx container damage).
+including TB2xx container damage). A schedule that does not parse (an
+unknown key, fault kind or condition type, a non-numeric number field,
+an unknown syscall or errno name, a persistent value other than
+true/false, bad ctx hex) is reported with its line number.
 )";
 
 rose::FaultSchedule DemoSchedule() {
@@ -187,8 +190,10 @@ int main(int argc, char** argv) {
       buf << std::cin.rdbuf();
       text = buf.str();
     }
-    if (!rose::FaultSchedule::FromYaml(text, &schedule)) {
-      std::fprintf(stderr, "lint_schedule: input is not a Rose schedule YAML\n");
+    std::string error;
+    if (!rose::FaultSchedule::FromYaml(text, &schedule, &error)) {
+      std::fprintf(stderr, "lint_schedule: input is not a Rose schedule YAML: %s\n",
+                   error.c_str());
       return 2;
     }
   }

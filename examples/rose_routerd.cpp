@@ -191,10 +191,8 @@ int main(int argc, char** argv) {
   int failures = 0;
   bool killed = kill_shard.empty();
   for (;;) {
-    bool all_done = true;
-    for (serve_demo::Submission& sub : submissions) {
-      all_done &= serve_demo::PollAndReport("rose_routerd", sub, seed, out_dir, &failures);
-    }
+    const bool all_done =
+        serve_demo::PollAndReportAll("rose_routerd", submissions, seed, out_dir, &failures);
     router.Poll();
     for (ShardProc& shard : shards) {
       if (!shard.alive) {

@@ -166,10 +166,8 @@ int main(int argc, char** argv) {
         std::printf("rose_served: %s\n", service.BuildStats().ToString().c_str());
       }
     }
-    bool all_done = true;
-    for (serve_demo::Submission& sub : submissions) {
-      all_done &= serve_demo::PollAndReport("rose_served", sub, seed, out_dir, &failures);
-    }
+    const bool all_done =
+        serve_demo::PollAndReportAll("rose_served", submissions, seed, out_dir, &failures);
     service.Poll();
     if (all_done && service.idle()) {
       break;

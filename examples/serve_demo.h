@@ -9,8 +9,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/file.h"
+#include "src/common/strings.h"
 #include "src/harness/bug_registry.h"
 #include "src/harness/runner.h"
 #include "src/serve/client.h"
@@ -24,7 +26,10 @@ struct Submission {
   std::string dump_base;  // Empty = simulate phases 1-2.
   std::unique_ptr<rose::ServeClient> client;
   uint64_t handle = 0;
-  bool reported = false;
+  bool reported = false;  // The outcome is in `report`.
+  bool printed = false;   // `report` went to stdout.
+  // Progress and outcome lines, held until they print as one block.
+  std::string report;
 };
 
 // Parses one positional argument: "<bug-id>" or "<bug-id>=DUMPBASE".
@@ -102,7 +107,7 @@ inline void Submit(Submission& sub, uint64_t seed, DumpPayload& payload) {
   sub.handle = sub.client->Submit(request);
 }
 
-// One client pump: prints the progress received for `sub` and, the first
+// One client pump: collects the progress received for `sub` and, the first
 // time its job is done, its outcome — writing a confirmed schedule to
 // OUT_DIR/<bug>-<seed>.yaml. A rejection, a non-reproduction or a failed
 // write adds one to `*failures`. Returns whether the job is done.
@@ -110,7 +115,7 @@ inline bool PollAndReport(const char* tool, Submission& sub, uint64_t seed,
                           const std::string& out_dir, int* failures) {
   sub.client->Poll();
   for (const rose::ProgressMsg& msg : sub.client->TakeProgress(sub.handle)) {
-    std::printf("  [%s] %s\n", sub.bug_id.c_str(), msg.ToString().c_str());
+    sub.report += rose::StrFormat("  [%s] %s\n", sub.bug_id.c_str(), msg.ToString().c_str());
   }
   if (!sub.client->done(sub.handle)) {
     return false;
@@ -120,17 +125,17 @@ inline bool PollAndReport(const char* tool, Submission& sub, uint64_t seed,
   }
   sub.reported = true;
   if (sub.client->failed(sub.handle)) {
-    std::printf("%-18s  REJECTED: %s\n", sub.bug_id.c_str(),
-                sub.client->error_message(sub.handle).c_str());
+    sub.report += rose::StrFormat("%-18s  REJECTED: %s\n", sub.bug_id.c_str(),
+                                  sub.client->error_message(sub.handle).c_str());
     (*failures)++;
     return true;
   }
   const rose::ServeJobResult& result = sub.client->result(sub.handle);
   const char* how = result.cached ? "cache" : result.coalesced ? "coalesced" : "ran";
-  std::printf("%-18s  %s  L%d  RR=%3.0f%%  sched=%d runs=%d  (%s)  [%s]\n",
-              sub.bug_id.c_str(), result.reproduced ? "REPRODUCED " : "NOT-REPRO  ",
-              result.level, result.replay_rate, result.schedules, result.runs, how,
-              result.fault_summary.c_str());
+  sub.report += rose::StrFormat(
+      "%-18s  %s  L%d  RR=%3.0f%%  sched=%d runs=%d  (%s)  [%s]\n", sub.bug_id.c_str(),
+      result.reproduced ? "REPRODUCED " : "NOT-REPRO  ", result.level, result.replay_rate,
+      result.schedules, result.runs, how, result.fault_summary.c_str());
   if (!result.reproduced) {
     (*failures)++;
     return true;
@@ -141,8 +146,30 @@ inline bool PollAndReport(const char* tool, Submission& sub, uint64_t seed,
     (*failures)++;
     return true;
   }
-  std::printf("  schedule -> %s\n", path.c_str());
+  sub.report += rose::StrFormat("  schedule -> %s\n", path.c_str());
   return true;
+}
+
+// Pumps every submission, then prints each finished submission's block
+// once all earlier submissions have printed theirs. Jobs run concurrently
+// and finish in any order; printing whole blocks in submission order keeps
+// stdout the same bytes from run to run. Returns whether every job is done.
+inline bool PollAndReportAll(const char* tool, std::vector<Submission>& subs, uint64_t seed,
+                             const std::string& out_dir, int* failures) {
+  bool all_done = true;
+  for (Submission& sub : subs) {
+    all_done &= PollAndReport(tool, sub, seed, out_dir, failures);
+  }
+  for (Submission& sub : subs) {
+    if (!sub.reported) {
+      break;
+    }
+    if (!sub.printed) {
+      std::fputs(sub.report.c_str(), stdout);
+      sub.printed = true;
+    }
+  }
+  return all_done;
 }
 
 }  // namespace serve_demo

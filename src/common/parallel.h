@@ -13,6 +13,7 @@
 #ifndef SRC_COMMON_PARALLEL_H_
 #define SRC_COMMON_PARALLEL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -64,8 +65,9 @@ class WorkerPool {
 // (speculatively) and Get(i) blocks until slot i completes.
 //
 // Contract: Get(i) must be called for i = 0, 1, 2, ... in order, and never
-// after Abandon(). The destructor abandons outstanding tasks and waits for
-// in-flight ones, so task closures may safely reference the caller's stack.
+// after Abandon(). Abandon() frees every result not yet taken. The
+// destructor abandons outstanding tasks and waits for in-flight ones, so
+// task closures may safely reference the caller's stack.
 template <typename R>
 class OrderedBatch {
  public:
@@ -87,14 +89,7 @@ class OrderedBatch {
     // Wait for in-flight tasks: their closures may reference our caller's
     // frame, which dies right after this destructor.
     std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->done_cv.wait(lock, [this] {
-      for (uint8_t status : state_->status) {
-        if (status == kRunning) {
-          return false;
-        }
-      }
-      return true;
-    });
+    state_->done_cv.wait(lock, [this] { return NoneRunning(*state_); });
   }
 
   OrderedBatch(const OrderedBatch&) = delete;
@@ -124,10 +119,22 @@ class OrderedBatch {
     return *state_->results[i];
   }
 
-  // Drops every task that has not started. Safe to call repeatedly.
+  // Drops every task that has not started and frees every landed result; a
+  // task still running has its result dropped when it finishes. Safe to
+  // call repeatedly.
   void Abandon() {
     std::lock_guard<std::mutex> lock(state_->mutex);
     state_->abandoned = true;
+    for (std::optional<R>& result : state_->results) {
+      result.reset();
+    }
+  }
+
+  // True when no task is running. After Abandon() no task starts any more,
+  // so an idle abandoned batch is destroyed without waiting.
+  bool Idle() const {
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    return NoneRunning(*state_);
   }
 
  private:
@@ -142,6 +149,11 @@ class OrderedBatch {
     bool abandoned = false;
   };
 
+  // Caller holds state.mutex.
+  static bool NoneRunning(const State& state) {
+    return std::find(state.status.begin(), state.status.end(), kRunning) == state.status.end();
+  }
+
   static void RunSlot(State& state, size_t i) {
     {
       std::lock_guard<std::mutex> lock(state.mutex);
@@ -155,7 +167,9 @@ class OrderedBatch {
     R result = state.tasks[i]();
     {
       std::lock_guard<std::mutex> lock(state.mutex);
-      state.results[i].emplace(std::move(result));
+      if (!state.abandoned) {
+        state.results[i].emplace(std::move(result));
+      }
       state.status[i] = kDone;
       state.done_cv.notify_all();
     }

@@ -1,6 +1,7 @@
 #include "src/common/strings.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -79,7 +80,12 @@ bool ParseUint64(std::string_view s, uint64_t* out) {
     if (c < '0' || c > '9') {
       return false;
     }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    const auto digit = static_cast<uint64_t>(c - '0');
+    constexpr uint64_t kMaxTenth = UINT64_MAX / 10;
+    if (value > kMaxTenth || (value == kMaxTenth && digit > UINT64_MAX % 10)) {
+      return false;  // Would wrap around.
+    }
+    value = value * 10 + digit;
   }
   *out = value;
   return true;
@@ -92,10 +98,12 @@ bool ParseInt64(std::string_view s, int64_t* out) {
     s.remove_prefix(1);
   }
   uint64_t magnitude = 0;
-  if (!ParseUint64(s, &magnitude)) {
+  const uint64_t limit = static_cast<uint64_t>(INT64_MAX) + (negative ? 1 : 0);
+  if (!ParseUint64(s, &magnitude) || magnitude > limit) {
     return false;
   }
-  *out = negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
+  // Negate in unsigned arithmetic: -INT64_MIN does not fit in int64_t.
+  *out = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
   return true;
 }
 

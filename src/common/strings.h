@@ -25,8 +25,10 @@ bool Contains(std::string_view s, std::string_view needle);
 // Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 
-// Parses a non-negative integer; returns false on malformed input.
+// Parses a non-negative integer; returns false on malformed input and on a
+// value that does not fit.
 bool ParseUint64(std::string_view s, uint64_t* out);
+// The same with an optional sign; the value must fit in int64_t.
 bool ParseInt64(std::string_view s, int64_t* out);
 
 }  // namespace rose

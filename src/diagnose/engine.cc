@@ -1,6 +1,8 @@
 #include "src/diagnose/engine.h"
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
 
 #include "src/common/rng.h"
 #include "src/common/strings.h"
@@ -213,9 +215,61 @@ DiagnosisEngine::PlannedProbe DiagnosisEngine::PlanProbe(
   return probe;
 }
 
-bool DiagnosisEngine::ConsumeProbe(PlannedProbe& probe, OrderedBatch<ScheduleRunOutcome>* batch,
-                                   int level, DiagnosisResult* result,
-                                   ScheduleRunOutcome* outcome_out) {
+size_t DiagnosisEngine::WindowSize() const {
+  return pool_ != nullptr ? static_cast<size_t>(pool_->thread_count()) * 2 : 1;
+}
+
+DiagnosisEngine::ProbeWindow DiagnosisEngine::LaunchWindow(std::vector<FaultSchedule> schedules,
+                                                           bool allow_duplicate,
+                                                           bool causal_prune) {
+  ProbeWindow window;
+  window.probes = std::make_shared<std::vector<PlannedProbe>>();
+  std::vector<PlannedProbe>& probes = *window.probes;
+  probes.reserve(schedules.size());
+  std::map<uint64_t, uint32_t> local_counts;
+  std::vector<std::function<ScheduleRunOutcome()>> tasks;
+  for (FaultSchedule& schedule : schedules) {
+    PlannedProbe probe =
+        PlanProbe(std::move(schedule), allow_duplicate, causal_prune, &local_counts);
+    if (probe.action == PlannedProbe::Action::kRun) {
+      probe.batch_slot = static_cast<int>(tasks.size());
+      tasks.push_back([this, planned = window.probes, index = probes.size(),
+                       seed = SeedFor(probe.hash, probe.tentative_index)] {
+        return runner_(ScheduleRunRequest{&(*planned)[index].schedule, seed});
+      });
+    }
+    probes.push_back(std::move(probe));
+  }
+  window.batch =
+      std::make_unique<OrderedBatch<ScheduleRunOutcome>>(pool_.get(), std::move(tasks));
+  return window;
+}
+
+void DiagnosisEngine::AbandonWindow(ProbeWindow* window, size_t consumed) {
+  if (consumed >= window->size()) {
+    return;  // Nothing speculative is left.
+  }
+  // Abandoned probes must leave no trace: un-consumed hash insertions are
+  // rolled back so later phases dedup exactly like the serial engine, which
+  // never planned these candidates at all.
+  window->batch->Abandon();
+  metrics_.speculative_abandoned->Inc(window->size() - consumed);
+  for (size_t j = consumed; j < window->size(); j++) {
+    const PlannedProbe& probe = window->probe(j);
+    if (probe.inserted_hash) {
+      executed_hashes_.erase(probe.hash);
+    }
+  }
+  // Park the batch until its in-flight runs finish; drop the parked batches
+  // whose runs have all finished, with their probes.
+  retired_.push_back(std::move(window->batch));
+  retired_.erase(std::remove_if(retired_.begin(), retired_.end(),
+                                [](const auto& batch) { return batch->Idle(); }),
+                 retired_.end());
+}
+
+bool DiagnosisEngine::ConsumeProbe(PlannedProbe& probe, ProbeWindow* window, int level,
+                                   DiagnosisResult* result, ScheduleRunOutcome* outcome_out) {
   if (probe.action == PlannedProbe::Action::kPruneInvalid) {
     result->schedules_pruned_invalid++;
     metrics_.pruned_invalid->Inc();
@@ -242,16 +296,16 @@ bool DiagnosisEngine::ConsumeProbe(PlannedProbe& probe, OrderedBatch<ScheduleRun
   notify_level_ = level;
   const uint32_t committed = run_counters_[probe.hash];
   ScheduleRunOutcome outcome;
-  if (batch != nullptr && probe.batch_slot >= 0 && committed == probe.tentative_index) {
-    // Each slot is consumed exactly once, so the batch's stored result can
-    // be moved out instead of copying a whole trace window.
-    outcome = std::move(batch->Get(static_cast<size_t>(probe.batch_slot)));
+  if (window != nullptr && probe.batch_slot >= 0 && committed == probe.tentative_index) {
+    // Each slot is consumed exactly once, so the stored outcome can be moved
+    // out instead of copying a whole trace window.
+    outcome = std::move(window->batch->Get(static_cast<size_t>(probe.batch_slot)));
   } else {
-    // Serial path, or the speculation missed: an intervening confirmation of
-    // the same schedule advanced its run counter, so the pre-assigned seed
-    // is stale. Re-run inline with the committed-index seed — this is what
-    // keeps parallel results identical to serial ones.
-    if (batch != nullptr && probe.batch_slot >= 0) {
+    // No window (a lone probe), or the speculation missed: an intervening
+    // confirmation of the same schedule advanced its run counter, so the
+    // pre-assigned seed is stale. Re-run inline with the committed-index
+    // seed — this is what keeps parallel results identical to serial ones.
+    if (window != nullptr && probe.batch_slot >= 0) {
       metrics_.speculation_misses->Inc();
     }
     outcome = runner_(ScheduleRunRequest{&probe.schedule, SeedFor(probe.hash, committed)});
@@ -285,61 +339,27 @@ bool DiagnosisEngine::ConsumeProbe(PlannedProbe& probe, OrderedBatch<ScheduleRun
   return false;
 }
 
-bool DiagnosisEngine::RunWave(const std::vector<FaultSchedule>& schedules, int level,
+bool DiagnosisEngine::RunWave(std::vector<FaultSchedule> schedules, int level,
                               bool allow_duplicate, int budget, DiagnosisResult* result,
                               bool causal_prune) {
-  // Chunked wave-fronts: speculation never runs more than one chunk ahead of
-  // the in-order consumer, bounding wasted runs after a stop. Serially the
-  // chunk size is 1, which is exactly the classic plan-run-decide loop.
-  const size_t chunk =
-      pool_ != nullptr ? static_cast<size_t>(pool_->thread_count()) * 2 : 1;
-  size_t next = 0;
-  while (next < schedules.size()) {
+  // Chunked wave-fronts: speculation never runs more than one window ahead
+  // of the in-order consumer, bounding wasted runs after a stop.
+  const size_t chunk = WindowSize();
+  for (size_t next = 0; next < schedules.size(); next += chunk) {
     ScopedTimer wave_timer(metrics_.wave_ns);
-    const size_t count = std::min(chunk, schedules.size() - next);
-    std::vector<PlannedProbe> probes;
-    probes.reserve(count);
-    std::map<uint64_t, uint32_t> local_counts;
-    size_t runnable = 0;
-    for (size_t i = 0; i < count; i++) {
-      PlannedProbe probe =
-          PlanProbe(schedules[next + i], allow_duplicate, causal_prune, &local_counts);
-      if (probe.action == PlannedProbe::Action::kRun) {
-        probe.batch_slot = static_cast<int>(runnable++);
-      }
-      probes.push_back(std::move(probe));
-    }
-    // Tasks reference the planned probes; `probes` is stable from here on.
-    std::vector<std::function<ScheduleRunOutcome()>> tasks;
-    tasks.reserve(runnable);
-    for (const PlannedProbe& probe : probes) {
-      if (probe.batch_slot >= 0) {
-        tasks.push_back([this, &probe] {
-          return runner_(
-              ScheduleRunRequest{&probe.schedule, SeedFor(probe.hash, probe.tentative_index)});
-        });
-      }
-    }
-    OrderedBatch<ScheduleRunOutcome> batch(pool_.get(), std::move(tasks));
-
-    for (size_t i = 0; i < probes.size(); i++) {
-      const bool reproduced = ConsumeProbe(probes[i], &batch, level, result, nullptr);
+    const auto first = schedules.begin() + static_cast<std::ptrdiff_t>(next);
+    const auto last = first + static_cast<std::ptrdiff_t>(std::min(chunk, schedules.size() - next));
+    ProbeWindow window = LaunchWindow(std::vector<FaultSchedule>(std::make_move_iterator(first),
+                                                                 std::make_move_iterator(last)),
+                                      allow_duplicate, causal_prune);
+    for (size_t i = 0; i < window.size(); i++) {
+      const bool reproduced = ConsumeProbe(window.probe(i), &window, level, result, nullptr);
       const bool budget_hit = budget > 0 && result->schedules_generated >= budget;
       if (reproduced || budget_hit) {
-        // Abandoned probes must leave no trace: un-consumed hash insertions
-        // are rolled back so later phases dedup exactly like the serial
-        // engine, which never planned these candidates at all.
-        batch.Abandon();
-        metrics_.speculative_abandoned->Inc(probes.size() - (i + 1));
-        for (size_t j = i + 1; j < probes.size(); j++) {
-          if (probes[j].inserted_hash) {
-            executed_hashes_.erase(probes[j].hash);
-          }
-        }
+        AbandonWindow(&window, i + 1);
         return reproduced;
       }
     }
-    next += count;
   }
   return false;
 }
@@ -393,86 +413,118 @@ FaultSchedule DiagnosisEngine::Amplify(const FaultSchedule& schedule,
   return amplified;
 }
 
+FaultSchedule DiagnosisEngine::ChainStep(FaultSchedule* schedule, size_t fault_index,
+                                         const std::vector<int32_t>& chain,
+                                         bool amplified) const {
+  // Rebuild the fault's conditions: keep order enforcement, replace the
+  // timed trigger with the function chain (earliest condition first; the
+  // most recent production function is the final, injecting condition).
+  ScheduledFault& fault = schedule->faults[fault_index];
+  fault.conditions.clear();
+  if (config_.enforce_fault_order && fault_index > 0) {
+    fault.conditions.push_back(Condition::AfterFault(static_cast<int32_t>(fault_index) - 1));
+  }
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    fault.conditions.push_back(Condition::FunctionEnter(*it));
+  }
+  FaultSchedule attempt = amplified ? Amplify(*schedule, fault_index) : *schedule;
+  attempt.name =
+      StrFormat("level2-f%zu-%s", fault_index, binary_->NameOf(chain.front()).c_str());
+  return attempt;
+}
+
 bool DiagnosisEngine::FindContextForFault(FaultSchedule* schedule, size_t fault_index,
                                           size_t candidate_index, DiagnosisResult* result) {
-  // Algorithm 1 is inherently sequential — each chain extension depends on
-  // the previous run's trace — so this path stays serial; its runs still
-  // draw derived seeds, keeping it deterministic under restructuring.
+  // Each chain extension depends on the previous run's trace, but every
+  // chain Algorithm 1 can try is a prefix of one chain known up front, and
+  // the run that extends it is the common case. So the chain is speculated:
+  // a window plans the next steps as if each extends the chain, runs them as
+  // one batch, and consumes them in order. The first outcome that does not
+  // extend it (a reproduction, the Level-2 cap, no injection, or an order
+  // mismatch) abandons the rest of the window, leaving no mark, and the
+  // search goes on serially from the real state. Seeds are pre-assigned, so
+  // this makes the same decisions as the one-run-at-a-time loop.
   const CandidateFault& candidate = extraction_.faults[candidate_index];
-  const std::vector<AfInfo> preceding =
-      production_index_.FunctionsBefore(candidate.node, candidate.ts);
-  if (preceding.empty()) {
-    return false;
-  }
-
-  std::vector<int32_t> chain;  // Most recent first: chain[0] is injected-at.
-  const ScheduledFault original = schedule->faults[fault_index];
-  bool amplified = false;
-
-  for (const AfInfo& af : preceding) {
-    if (std::find(chain.begin(), chain.end(), af.function_id) != chain.end()) {
-      break;  // No longer a unique code path (paper line 9).
-    }
-    if (static_cast<int>(chain.size()) >= config_.max_context_chain) {
+  // The longest chain: the unique prefix of the functions preceding the
+  // fault (paper line 9), capped at max_context_chain. Most recent first, so
+  // chain[0] is the injecting function; step k tries chain[0..k].
+  std::vector<int32_t> longest;
+  for (const AfInfo& af : production_index_.FunctionsBefore(candidate.node, candidate.ts)) {
+    if (static_cast<int>(longest.size()) >= config_.max_context_chain ||
+        std::find(longest.begin(), longest.end(), af.function_id) != longest.end()) {
       break;
     }
-    chain.push_back(af.function_id);
+    longest.push_back(af.function_id);
+  }
 
-    // Rebuild the fault's conditions: keep order enforcement, replace the
-    // timed trigger with the function chain (earliest condition first; the
-    // most recent production function is the final, injecting condition).
-    ScheduledFault& fault = schedule->faults[fault_index];
-    fault.conditions.clear();
-    if (config_.enforce_fault_order && fault_index > 0) {
-      fault.conditions.push_back(Condition::AfterFault(static_cast<int32_t>(fault_index) - 1));
-    }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      fault.conditions.push_back(Condition::FunctionEnter(*it));
-    }
-    FaultSchedule attempt = amplified ? Amplify(*schedule, fault_index) : *schedule;
-    attempt.name = StrFormat("level2-f%zu-%s", fault_index,
-                             binary_->NameOf(chain.front()).c_str());
+  const auto prefix = [&longest](size_t length) {
+    return std::vector<int32_t>(longest.begin(),
+                                longest.begin() + static_cast<std::ptrdiff_t>(length));
+  };
 
-    ScheduleRunOutcome outcome;
-    if (RunAndMaybeConfirm(attempt, 2, result, &outcome)) {
+  const ScheduledFault original = schedule->faults[fault_index];
+  bool amplified = false;
+  size_t step = 0;
+  while (step < longest.size()) {
+    const size_t count = std::min(WindowSize(), longest.size() - step);
+    std::vector<FaultSchedule> steps;
+    steps.reserve(count);
+    for (size_t k = step; k < step + count; k++) {
+      steps.push_back(ChainStep(schedule, fault_index, prefix(k + 1), amplified));
+    }
+    ProbeWindow window = LaunchWindow(std::move(steps), /*allow_duplicate=*/false,
+                                      /*causal_prune=*/false);
+    bool injected = true;
+    bool correct_order = true;
+    size_t consumed = 0;
+    while (injected && correct_order && consumed < window.size()) {
+      ScheduleRunOutcome outcome;
+      const bool reproduced = ConsumeProbe(window.probe(consumed), &window, 2, result, &outcome);
+      consumed++;
+      if (reproduced) {
+        AbandonWindow(&window, consumed);
+        return true;
+      }
+      if (result->schedules_generated >= level2_cap_) {
+        AbandonWindow(&window, consumed);
+        schedule->faults[fault_index] = original;
+        return false;
+      }
+      std::tie(correct_order, injected) =
+          ProcessTrace(outcome, fault_index, candidate.node, prefix(step + 1));
+      step++;
+    }
+    AbandonWindow(&window, consumed);
+    if (injected && correct_order) {
+      continue;  // Context not yet precise enough; extend the chain.
+    }
+    if (injected || !config_.use_amplification || amplified ||
+        original.kind == FaultKind::kNetworkPartition) {
+      break;  // Order mismatch, or amplification unavailable.
+    }
+    // Not injected: role-specific state. Replicate across all nodes and
+    // retry the chain that was not injected.
+    FaultSchedule amp = ChainStep(schedule, fault_index, prefix(step), /*amplified=*/true);
+    amp.name = StrFormat("level2-f%zu-amp", fault_index);
+    ScheduleRunOutcome amp_outcome;
+    if (RunAndMaybeConfirm(amp, 2, result, &amp_outcome)) {
       return true;
     }
     if (result->schedules_generated >= level2_cap_) {
       break;
     }
-
-    auto [correct_order, injected] =
-        ProcessTrace(outcome, fault_index, candidate.node, chain);
-    if (injected && correct_order) {
-      continue;  // Context not yet precise enough; extend the chain.
-    }
-    if (!injected && config_.use_amplification && !amplified &&
-        original.kind != FaultKind::kNetworkPartition) {
-      // Role-specific state: replicate across all nodes and retry.
-      FaultSchedule amp = Amplify(*schedule, fault_index);
-      amp.name = StrFormat("level2-f%zu-amp", fault_index);
-      ScheduleRunOutcome amp_outcome;
-      if (RunAndMaybeConfirm(amp, 2, result, &amp_outcome)) {
-        return true;
-      }
-      if (result->schedules_generated >= level2_cap_) {
+    // Was the context function observed on any node?
+    bool seen_anywhere = false;
+    for (const TraceEvent& event : amp_outcome.trace.events()) {
+      if (event.type == EventType::kAF && event.af().function_id == longest.front()) {
+        seen_anywhere = true;
         break;
       }
-      // Was the context function observed on any node?
-      bool seen_anywhere = false;
-      for (const TraceEvent& event : amp_outcome.trace.events()) {
-        if (event.type == EventType::kAF && event.af().function_id == chain.front()) {
-          seen_anywhere = true;
-          break;
-        }
-      }
-      if (seen_anywhere) {
-        amplified = true;  // Keep the amplified form for further refinement.
-        continue;
-      }
+    }
+    if (!seen_anywhere) {
       break;  // Not role-specific either; give up on this fault.
     }
-    break;  // Order mismatch, or amplification unavailable.
+    amplified = true;  // Keep the amplified form for further refinement.
   }
   // Restore the fault's Level-1 shape before moving to the next fault.
   schedule->faults[fault_index] = original;
@@ -506,7 +558,8 @@ bool DiagnosisEngine::Level2(FaultSchedule* schedule, const std::vector<size_t>&
         attempt.name = StrFormat("level2-f%zu-nth%d", fault_index, nth);
         sweep.push_back(std::move(attempt));
       }
-      const bool reproduced = RunWave(sweep, 2, /*allow_duplicate=*/false, level2_cap_, result);
+      const bool reproduced =
+          RunWave(std::move(sweep), 2, /*allow_duplicate=*/false, level2_cap_, result);
       schedule->faults[fault_index] = original;
       if (reproduced) {
         return true;
@@ -522,6 +575,14 @@ bool DiagnosisEngine::Level2(FaultSchedule* schedule, const std::vector<size_t>&
 
 bool DiagnosisEngine::Level3(FaultSchedule* schedule, const std::vector<size_t>& priority,
                              DiagnosisResult* result) {
+  // Offsets are independent candidates, across faults too: every fault's
+  // offsets, faults in priority order and each fault's offsets in priority
+  // order, form one wave. Level 3 can start with its budget already spent
+  // only when level2_budget >= max_schedules; then the wave holds just the
+  // first eligible fault's offsets, so RunWave consumes the first of them
+  // (or none) and stops, as the per-fault waves did.
+  const bool spent = result->schedules_generated >= level3_cap_;
+  std::vector<FaultSchedule> attempts;
   for (size_t candidate_index : priority) {
     const CandidateFault& candidate = extraction_.faults[candidate_index];
     if (candidate.kind != FaultKind::kProcessCrash &&
@@ -536,10 +597,6 @@ bool DiagnosisEngine::Level3(FaultSchedule* schedule, const std::vector<size_t>&
     const int32_t function_id = preceding.front().function_id;
     const size_t fault_index = candidate_index;
     const ScheduledFault original = schedule->faults[fault_index];
-
-    // Offsets are independent candidates: explore them as wave-fronts, in
-    // priority order.
-    std::vector<FaultSchedule> attempts;
     for (const OffsetInfo& offset : binary_->PrioritizedOffsets(function_id)) {
       ScheduledFault& fault = schedule->faults[fault_index];
       fault.conditions.clear();
@@ -555,14 +612,11 @@ bool DiagnosisEngine::Level3(FaultSchedule* schedule, const std::vector<size_t>&
       attempts.push_back(std::move(attempt));
     }
     schedule->faults[fault_index] = original;
-    if (RunWave(attempts, 3, /*allow_duplicate=*/false, level3_cap_, result)) {
-      return true;
-    }
-    if (result->schedules_generated >= level3_cap_) {
-      return false;
+    if (spent) {
+      break;
     }
   }
-  return false;
+  return RunWave(std::move(attempts), 3, /*allow_duplicate=*/false, level3_cap_, result);
 }
 
 DiagnosisResult DiagnosisEngine::Run() {
@@ -576,11 +630,11 @@ DiagnosisResult DiagnosisEngine::Run() {
   // re-execute the same schedule (the paper's answer to one-clean-run false
   // negatives) — exempt from dedup, and batched as one wave.
   FaultSchedule schedule = BuildLevel1();
-  const std::vector<FaultSchedule> attempts(
-      static_cast<size_t>(std::max(config_.level1_attempts, 0)), schedule);
+  std::vector<FaultSchedule> attempts(static_cast<size_t>(std::max(config_.level1_attempts, 0)),
+                                      schedule);
   notify_level_ = 1;
   Notify(DiagnosisProgress::Kind::kLevelStart, result, 0, "level 1: production order");
-  if (RunWave(attempts, 1, /*allow_duplicate=*/true, /*budget=*/0, &result)) {
+  if (RunWave(std::move(attempts), 1, /*allow_duplicate=*/true, /*budget=*/0, &result)) {
     result.fault_summary = result.schedule.Summary();
     return result;
   }
@@ -629,7 +683,7 @@ DiagnosisResult DiagnosisEngine::Run() {
       alternates.push_back(std::move(alternate));
     }
     Notify(DiagnosisProgress::Kind::kLevelStart, result, 0, "level 1: alternative fault orders");
-    if (RunWave(alternates, 1, /*allow_duplicate=*/false, /*budget=*/0, &result,
+    if (RunWave(std::move(alternates), 1, /*allow_duplicate=*/false, /*budget=*/0, &result,
                 /*causal_prune=*/config_.use_causal_pruning)) {
       result.fault_summary = result.schedule.Summary();
       return result;

@@ -17,8 +17,9 @@
 //
 // Parallel execution: diagnosis is embarrassingly parallel — every candidate
 // runs in its own seeded SimWorld — so with `parallelism > 1` the engine
-// speculatively executes independent candidates on a worker pool (Level-1
-// attempts as one batch, SCF nth-sweeps and Level-3 offsets as wave-fronts,
+// speculatively executes candidates on a worker pool (Level-1 attempts as one
+// batch, SCF nth-sweeps and every fault's Level-3 offsets as wave-fronts,
+// Algorithm 1's function chain as windows that predict each step extends it,
 // confirmBug's reruns as one batch with early-abandon cancellation) while
 // consuming results strictly in generation order. Seeds are pre-assigned
 // per (schedule, run-index) — never drawn from a shared stream on the
@@ -227,20 +228,47 @@ class DiagnosisEngine {
   PlannedProbe PlanProbe(FaultSchedule schedule, bool allow_duplicate, bool causal_prune,
                          std::map<uint64_t, uint32_t>* local_counts);
 
+  // One speculative window: probes planned in generation order, their
+  // runnable ones launched as one batch. RunWave's chunks and Algorithm 1's
+  // chain windows are both ProbeWindows. The tasks share ownership of the
+  // probes and read nothing else of the engine but runner_, so an abandoned
+  // window's batch can outlive it while its in-flight runs finish.
+  struct ProbeWindow {
+    std::shared_ptr<std::vector<PlannedProbe>> probes;
+    std::unique_ptr<OrderedBatch<ScheduleRunOutcome>> batch;  // By batch slot.
+
+    PlannedProbe& probe(size_t i) { return (*probes)[i]; }
+    size_t size() const { return probes->size(); }
+  };
+
+  // Probes per window: twice the pool's threads, or 1 serially — where a
+  // window is exactly the classic plan-run-decide step.
+  size_t WindowSize() const;
+
+  // Plans `schedules` (PlanProbe, in order) and launches the runnable ones.
+  ProbeWindow LaunchWindow(std::vector<FaultSchedule> schedules, bool allow_duplicate,
+                           bool causal_prune);
+
+  // Drops every probe of `window` after the first `consumed`: unstarted runs
+  // never start, landed outcomes are freed, and the dedup-hash insertions of
+  // the dropped probes are rolled back, so they leave no mark on the engine's
+  // state. The batch is parked in retired_ until its in-flight runs finish.
+  void AbandonWindow(ProbeWindow* window, size_t consumed);
+
   // Consumes one planned probe in generation order: applies pruning
-  // accounting, obtains the outcome (from the speculative batch when its
-  // pre-assigned seed is still the committed one, else by re-running
-  // inline), commits the run counter, and confirms on a bug. Returns true
-  // when the confirmed rate reaches the target.
-  bool ConsumeProbe(PlannedProbe& probe, OrderedBatch<ScheduleRunOutcome>* batch, int level,
+  // accounting, obtains the outcome (from `window` when its pre-assigned seed
+  // is still the committed one, else by re-running inline), commits the run
+  // counter, and confirms on a bug. Returns true when the confirmed rate
+  // reaches the target.
+  bool ConsumeProbe(PlannedProbe& probe, ProbeWindow* window, int level,
                     DiagnosisResult* result, ScheduleRunOutcome* outcome_out);
 
-  // Plans and executes `schedules` as wave-fronts of independent probes,
+  // Plans and executes `schedules` as windows of independent probes,
   // consuming results in generation order. Stops on reproduction or, when
   // `budget > 0`, once result->schedules_generated reaches it; abandoned
   // probes leave no mark on the engine's state. Returns true on reproduction.
-  bool RunWave(const std::vector<FaultSchedule>& schedules, int level, bool allow_duplicate,
-               int budget, DiagnosisResult* result, bool causal_prune = false);
+  bool RunWave(std::vector<FaultSchedule> schedules, int level, bool allow_duplicate, int budget,
+               DiagnosisResult* result, bool causal_prune = false);
 
   // Executes one schedule (counts it) and, if the bug shows, confirms it.
   // Returns true when the confirmed rate reaches the target. Statically
@@ -254,6 +282,11 @@ class DiagnosisEngine {
   // Algorithm 1 for PS/ND fault at position `fault_index` in the schedule.
   bool FindContextForFault(FaultSchedule* schedule, size_t fault_index,
                            size_t candidate_index, DiagnosisResult* result);
+  // Algorithm 1's candidate for `chain` (most recent function first): fault
+  // `fault_index` of `schedule` conditioned on the chain, amplified or not.
+  // Leaves the chain's conditions on schedule->faults[fault_index].
+  FaultSchedule ChainStep(FaultSchedule* schedule, size_t fault_index,
+                          const std::vector<int32_t>& chain, bool amplified) const;
   // Replicates fault `fault_index`'s (fault, context) across all nodes.
   FaultSchedule Amplify(const FaultSchedule& schedule, size_t fault_index) const;
   // (correctOrder, faultInjected) from a testing run.
@@ -316,6 +349,10 @@ class DiagnosisEngine {
     Histogram* confirm_ns;
   };
   EngineMetrics metrics_;
+  // Batches of abandoned windows whose in-flight runs may still be going;
+  // AbandonWindow drops the idle ones. Declared last, so the engine waits
+  // for those runs (which call runner_) before destroying anything they use.
+  std::vector<std::unique_ptr<OrderedBatch<ScheduleRunOutcome>>> retired_;
 };
 
 }  // namespace rose

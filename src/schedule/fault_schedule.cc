@@ -1,6 +1,6 @@
 #include "src/schedule/fault_schedule.h"
 
-#include <map>
+#include <cstdint>
 
 #include "src/common/strings.h"
 
@@ -199,7 +199,8 @@ std::string FaultSchedule::ToYaml() const {
 namespace {
 
 // Minimal parser for the YAML subset emitted by ToYaml(): "key: value" lines
-// plus "- " list-item markers, with fixed indentation levels.
+// plus "- " list-item markers, with fixed indentation levels, and "#"
+// comment lines.
 struct Line {
   int indent = 0;
   bool item = false;
@@ -256,20 +257,40 @@ bool ParseLine(const std::string& raw, Line* out) {
 
 }  // namespace
 
-bool FaultSchedule::FromYaml(const std::string& text, FaultSchedule* out) {
+bool FaultSchedule::FromYaml(const std::string& text, FaultSchedule* out, std::string* error) {
   *out = FaultSchedule();
   ScheduledFault* fault = nullptr;
   Condition* cond = nullptr;
-  bool in_conditions = false;
+  int conditions_indent = -1;  // Indent of the open "conditions:" key, or -1.
+  int line_no = 0;
+  const auto fail = [&](const std::string& reason) {
+    if (error != nullptr) {
+      *error = StrFormat("line %d: %s", line_no, reason.c_str());
+    }
+    return false;
+  };
 
   for (const std::string& raw : Split(text, '\n')) {
-    if (StripWhitespace(raw).empty()) {
-      continue;
+    line_no++;
+    const std::string_view stripped = StripWhitespace(raw);
+    if (stripped.empty() || stripped.front() == '#') {
+      continue;  // Blank line or comment.
     }
     Line line;
     if (!ParseLine(raw, &line)) {
-      return false;
+      return fail("expected 'key: value'");
     }
+    // Numeric fields must be whole numbers in range; anything else would
+    // silently become a default.
+    int64_t number = 0;
+    const auto parse_int32 = [&] {
+      return ParseInt64(line.value, &number) && number >= INT32_MIN && number <= INT32_MAX;
+    };
+    const auto not_a_number = [&] {
+      return fail(StrFormat("%s: '%s' is not a number in range", line.key.c_str(),
+                            line.value.c_str()));
+    };
+
     if (line.key == "schedule" || line.key == "faults") {
       continue;
     }
@@ -281,7 +302,7 @@ bool FaultSchedule::FromYaml(const std::string& text, FaultSchedule* out) {
       out->faults.emplace_back();
       fault = &out->faults.back();
       cond = nullptr;
-      in_conditions = false;
+      conditions_indent = -1;
       if (line.value == "syscall") {
         fault->kind = FaultKind::kSyscallFailure;
       } else if (line.value == "crash") {
@@ -291,18 +312,23 @@ bool FaultSchedule::FromYaml(const std::string& text, FaultSchedule* out) {
       } else if (line.value == "partition") {
         fault->kind = FaultKind::kNetworkPartition;
       } else {
-        return false;
+        return fail(StrFormat("unknown fault kind '%s'", line.value.c_str()));
       }
       continue;
     }
     if (fault == nullptr) {
-      return false;
+      return fail(StrFormat("unknown key '%s' before the first '- kind:'", line.key.c_str()));
     }
     if (line.key == "conditions") {
-      in_conditions = true;
+      conditions_indent = line.indent;
+      cond = nullptr;
       continue;
     }
-    if (in_conditions && line.item && line.key == "type") {
+    if (conditions_indent >= 0 && line.indent <= conditions_indent) {
+      conditions_indent = -1;  // A fault key after the conditions block.
+      cond = nullptr;
+    }
+    if (conditions_indent >= 0 && line.item && line.key == "type") {
       fault->conditions.emplace_back();
       cond = &fault->conditions.back();
       if (line.value == "after_fault") {
@@ -318,57 +344,90 @@ bool FaultSchedule::FromYaml(const std::string& text, FaultSchedule* out) {
       } else if (line.value == "exec_index") {
         cond->kind = Condition::Kind::kExecutionIndex;
       } else {
-        return false;
+        return fail(StrFormat("unknown condition type '%s'", line.value.c_str()));
       }
       continue;
     }
-    int64_t number = 0;
-    const bool is_number = ParseInt64(line.value, &number);
-    if (in_conditions && cond != nullptr) {
-      if (line.key == "fault" && is_number) {
-        cond->fault_index = static_cast<int32_t>(number);
-      } else if (line.key == "fid" && is_number) {
-        cond->function_id = static_cast<int32_t>(number);
-      } else if (line.key == "off" && is_number) {
-        cond->offset = static_cast<int32_t>(number);
+    if (conditions_indent >= 0) {
+      if (cond == nullptr) {
+        return fail(StrFormat("condition key '%s' before its '- type:'", line.key.c_str()));
+      }
+      if (line.key == "fault" || line.key == "fid" || line.key == "off" ||
+          line.key == "count") {
+        if (!parse_int32()) {
+          return not_a_number();
+        }
+        const auto value = static_cast<int32_t>(number);
+        if (line.key == "fault") {
+          cond->fault_index = value;
+        } else if (line.key == "fid") {
+          cond->function_id = value;
+        } else if (line.key == "off") {
+          cond->offset = value;
+        } else {
+          cond->count = value;
+        }
+      } else if (line.key == "time") {
+        if (!ParseInt64(line.value, &number)) {
+          return not_a_number();
+        }
+        cond->at_time = number;
       } else if (line.key == "sys") {
-        SysFromName(line.value, &cond->sys);
-      } else if (line.key == "count" && is_number) {
-        cond->count = static_cast<int32_t>(number);
+        if (!SysFromName(line.value, &cond->sys)) {
+          return fail(StrFormat("unknown syscall '%s'", line.value.c_str()));
+        }
       } else if (line.key == "path") {
         cond->path_filter = line.value;
-      } else if (line.key == "time" && is_number) {
-        cond->at_time = number;
       } else if (line.key == "ctx") {
-        uint64_t digest = 0;
-        if (ParseHex64(line.value, &digest)) {
-          cond->ctx_digest = digest;
+        if (line.value.size() > 16 || !ParseHex64(line.value, &cond->ctx_digest)) {
+          return fail(StrFormat("ctx: '%s' is not a 64-bit hex digest", line.value.c_str()));
         }
+      } else {
+        return fail(StrFormat("unknown key '%s'", line.key.c_str()));
       }
       continue;
     }
-    if (line.key == "node" && is_number) {
-      fault->target_node = static_cast<NodeId>(number);
-    } else if (line.key == "sys") {
-      SysFromName(line.value, &fault->syscall.sys);
-    } else if (line.key == "errno") {
-      fault->syscall.err = ErrFromName(line.value);
-    } else if (line.key == "path") {
-      fault->syscall.path_filter = line.value;
-    } else if (line.key == "nth" && is_number) {
-      fault->syscall.nth = static_cast<int32_t>(number);
-    } else if (line.key == "persistent") {
-      fault->syscall.persistent = line.value == "true";
-    } else if (line.key == "duration" && is_number) {
+    if (line.key == "node" || line.key == "nth") {
+      if (!parse_int32()) {
+        return not_a_number();
+      }
+      if (line.key == "node") {
+        fault->target_node = static_cast<NodeId>(number);
+      } else {
+        fault->syscall.nth = static_cast<int32_t>(number);
+      }
+    } else if (line.key == "duration") {
+      if (!ParseInt64(line.value, &number)) {
+        return not_a_number();
+      }
       if (fault->kind == FaultKind::kProcessPause) {
         fault->process.pause_duration = number;
       } else {
         fault->network.duration = number;
       }
+    } else if (line.key == "sys") {
+      if (!SysFromName(line.value, &fault->syscall.sys)) {
+        return fail(StrFormat("unknown syscall '%s'", line.value.c_str()));
+      }
+    } else if (line.key == "errno") {
+      const Err err = ErrFromName(line.value);
+      if (ErrName(err) != line.value) {
+        return fail(StrFormat("unknown errno '%s'", line.value.c_str()));
+      }
+      fault->syscall.err = err;
+    } else if (line.key == "path") {
+      fault->syscall.path_filter = line.value;
+    } else if (line.key == "persistent") {
+      if (line.value != "true" && line.value != "false") {
+        return fail(StrFormat("persistent: '%s' is neither true nor false", line.value.c_str()));
+      }
+      fault->syscall.persistent = line.value == "true";
     } else if (line.key == "ips_in") {
       fault->network.group_a = Split(line.value, ',');
     } else if (line.key == "ips_out") {
       fault->network.group_b = Split(line.value, ',');
+    } else {
+      return fail(StrFormat("unknown key '%s'", line.key.c_str()));
     }
   }
   return true;

@@ -120,8 +120,12 @@ class FaultSchedule {
   std::string Summary() const;
 
   // YAML round-trip (the analyzer emits YAML; the executor parses it).
+  // FromYaml is strict: an unknown key, fault kind, condition type, syscall
+  // or errno name, a malformed number, `persistent` value or `ctx` digest
+  // fails the parse, and `error` (when given) names the line and the reason.
   std::string ToYaml() const;
-  static bool FromYaml(const std::string& text, FaultSchedule* out);
+  static bool FromYaml(const std::string& text, FaultSchedule* out,
+                       std::string* error = nullptr);
 };
 
 }  // namespace rose

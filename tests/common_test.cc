@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/common/file.h"
@@ -124,6 +126,53 @@ TEST(OrderedBatchTest, AbandonSkipsTasksThatHaveNotStarted) {
     // other eight.
   }
   EXPECT_EQ(executed.load(), 2);
+}
+
+TEST(OrderedBatchTest, AbandonFreesResultsAndIdleWaitsForRunningTasks) {
+  WorkerPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  std::weak_ptr<int> landed;
+  std::weak_ptr<int> late;
+
+  std::vector<std::function<std::shared_ptr<int>()>> tasks;
+  tasks.push_back([&] {
+    auto result = std::make_shared<int>(0);
+    landed = result;
+    return result;
+  });
+  tasks.push_back([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    auto result = std::make_shared<int>(1);
+    late = result;
+    return result;
+  });
+  for (int i = 2; i < 6; i++) {
+    tasks.push_back([i] { return std::make_shared<int>(i); });
+  }
+  OrderedBatch<std::shared_ptr<int>> batch(&pool, std::move(tasks));
+  EXPECT_EQ(*batch.Get(0), 0);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
+  batch.Abandon();
+  EXPECT_TRUE(landed.expired());  // Freed by Abandon, though already taken.
+  EXPECT_FALSE(batch.Idle());     // Task 1 is still running.
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  while (!batch.Idle()) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(late.expired());  // Finished after Abandon: dropped, not stored.
 }
 
 // Cache keys, ring placement, canonical hashes and execution-index digests
@@ -369,6 +418,11 @@ TEST(StringsTest, ParseUint64) {
   EXPECT_FALSE(ParseUint64("", &value));
   EXPECT_FALSE(ParseUint64("12a", &value));
   EXPECT_FALSE(ParseUint64("-3", &value));
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  // 2^64 + 3 used to wrap around to 3.
+  EXPECT_FALSE(ParseUint64("18446744073709551619", &value));
+  EXPECT_FALSE(ParseUint64("99999999999999999999999", &value));
 }
 
 TEST(StringsTest, ParseInt64) {
@@ -379,6 +433,12 @@ TEST(StringsTest, ParseInt64) {
   EXPECT_EQ(value, 7);
   EXPECT_FALSE(ParseInt64("--1", &value));
   EXPECT_FALSE(ParseInt64("4.2", &value));
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &value));
+  EXPECT_EQ(value, INT64_MAX);
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &value));
+  EXPECT_EQ(value, INT64_MIN);
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &value));
+  EXPECT_FALSE(ParseInt64("-9223372036854775809", &value));
 }
 
 // Property sweep: split/join round-trips for seeds' worth of random strings.

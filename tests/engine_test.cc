@@ -442,6 +442,8 @@ TEST(ParallelEngineTest, ScfSweepBugIdenticalAcrossParallelism) {
 
 TEST(ParallelEngineTest, OffsetBugIdenticalAcrossParallelism) {
   // Bug "B": a Level-3 intra-function-offset bug — sweeps two levels deep.
+  // Two crash faults, so Level 3's one wave runs the first fault's offsets
+  // and then the second's, and its chunks straddle the boundary.
   BinaryInfo binary;
   const int32_t fid = binary.RegisterFunction(
       "storeSnapshotData", "snapshot.c",
@@ -450,7 +452,14 @@ TEST(ParallelEngineTest, OffsetBugIdenticalAcrossParallelism) {
        {0x18, OffsetKind::kSyscallCallSite, Sys::kClose},
        {0x20, OffsetKind::kCallSite, Sys::kOpen},
        {0x28, OffsetKind::kOther, Sys::kOpen}});
+  const int32_t other_fid = binary.RegisterFunction(
+      "appendEntries", "raft.c",
+      {{0x04, OffsetKind::kSyscallCallSite, Sys::kWrite},
+       {0x0c, OffsetKind::kCallSite, Sys::kOpen},
+       {0x14, OffsetKind::kOther, Sys::kOpen}});
   Trace production;
+  production.Append(Af(Seconds(1), 1, other_fid));
+  production.Append(Ps(Seconds(2), 1, ProcState::kCrashed));
   production.Append(Af(Seconds(3), 0, fid));
   production.Append(Ps(Seconds(3), 0, ProcState::kCrashed));
   Profile profile;
@@ -468,11 +477,191 @@ TEST(ParallelEngineTest, OffsetBugIdenticalAcrossParallelism) {
   const DiagnosisResult serial = Diagnose(production, profile, binary, runner, TestConfig());
   ASSERT_TRUE(serial.reproduced);
   EXPECT_EQ(serial.level, 3);
+  bool found = false;
+  for (const auto& condition : serial.schedule.faults[1].conditions) {
+    found |= condition.kind == Condition::Kind::kFunctionOffset && condition.offset == 0x28;
+  }
+  EXPECT_TRUE(found);  // The second fault's last offset, after all of the first's.
   for (int parallelism : {2, 4, 8}) {
     DiagnosisConfig config = TestConfig();
     config.parallelism = parallelism;
     const DiagnosisResult parallel = Diagnose(production, profile, binary, runner, config);
     ExpectSameDiagnosis(serial, parallel);
+  }
+}
+
+TEST(ParallelEngineTest, SpentLevelThreeBudgetStopsAtTheFirstEligibleFault) {
+  // level2_budget >= max_schedules, so Level 2 spends Level 3's budget too
+  // and Level 3 starts at its cap. Level 3 then tries only the first
+  // eligible fault: its first offset if its function has any, else nothing.
+  // Every offset shows the bug, so one probe too many would reproduce.
+  for (const bool first_has_offsets : {false, true}) {
+    SCOPED_TRACE(first_has_offsets);
+    BinaryInfo binary;
+    std::vector<OffsetInfo> first_offsets;
+    if (first_has_offsets) {
+      first_offsets = {{0x08, OffsetKind::kSyscallCallSite, Sys::kWrite}};
+    }
+    const int32_t first_fid = binary.RegisterFunction("applyEntry", "raft.c", first_offsets);
+    const int32_t second_fid = binary.RegisterFunction(
+        "storeSnapshotData", "snapshot.c", {{0x10, OffsetKind::kSyscallCallSite, Sys::kOpen}});
+    Trace production;
+    production.Append(Af(Seconds(1), 1, first_fid));
+    production.Append(Ps(Seconds(2), 1, ProcState::kCrashed));
+    production.Append(Af(Seconds(3), 0, second_fid));
+    production.Append(Ps(Seconds(4), 0, ProcState::kCrashed));
+    Profile profile;
+    auto runner = PredicateRunner([](const FaultSchedule& schedule) {
+      for (const auto& fault : schedule.faults) {
+        for (const auto& condition : fault.conditions) {
+          if (condition.kind == Condition::Kind::kFunctionOffset) {
+            return true;
+          }
+        }
+      }
+      return false;
+    });
+    DiagnosisConfig config = TestConfig();
+    config.max_schedules = 1;
+    config.level2_budget = 1;
+    const DiagnosisResult serial = Diagnose(production, profile, binary, runner, config);
+    EXPECT_EQ(serial.reproduced, first_has_offsets);
+    EXPECT_EQ(serial.schedules_generated, first_has_offsets ? 3 : 2);
+    if (first_has_offsets) {
+      EXPECT_EQ(serial.level, 3);
+      EXPECT_EQ(serial.schedule.faults[0].conditions.back().function_id, first_fid);
+    }
+    for (int parallelism : {2, 4, 8}) {
+      SCOPED_TRACE(parallelism);
+      config.parallelism = parallelism;
+      ExpectSameDiagnosis(serial, Diagnose(production, profile, binary, runner, config));
+    }
+  }
+}
+
+// Algorithm 1's chain window: each case makes the chain stop extending at a
+// different point of a speculative window. Production: functions 80, 70,
+// ..., 10 (10 most recent) run on node 0 before it crashes, so the longest
+// chain is [10, 20, 30, 40, 50, 60] (max_context_chain 6) and step k tries
+// its first k functions. The runner is a pure function of (schedule, seed).
+struct ChainCase {
+  const char* name;
+  // Chain length from which the testing run enters the functions in another
+  // order (0 = never).
+  int mismatch_from = 0;
+  // Chain length from which the crash is injected only when amplified.
+  int amplified_only_from = 0;
+  // Chain length whose first run shows the bug and whose reruns do not.
+  int flaky_at = 0;
+  // Chain length that reproduces (once injected).
+  int bug_at = 0;
+  int level2_budget = 350;
+  std::vector<NodeId> server_nodes = {0, 1, 2};
+  // Expected (at every parallelism).
+  bool reproduced = false;
+  int schedules_generated = 0;
+  int pruned_duplicate = 0;
+};
+
+TEST(ParallelEngineTest, ChainWindowDivergenceIdenticalAcrossParallelism) {
+  Trace production;
+  for (int i = 0; i < 8; i++) {
+    production.Append(Af(Seconds(1 + i), 0, 80 - 10 * i));
+  }
+  production.Append(Ps(Seconds(9), 0, ProcState::kCrashed));
+  Profile profile;
+  BinaryInfo binary;
+
+  const ChainCase cases[] = {
+      // L1 + steps 1-3; step 3's order is wrong, so the fault is dropped.
+      {"order mismatch at step 3", 3, 0, 0, 0, 350, {0, 1, 2}, false, 4, 0},
+      // L1 + steps 1-3; step 3 is not injected, the amp probe sees function
+      // 10, and amplified steps 4-5 extend the chain; step 5 reproduces.
+      {"amplification, then the amplified chain extends", 0, 3, 0, 5, 350, {0, 1, 2}, true, 7,
+       0},
+      // Step 2 shows the bug once, its confirm stays below target, and the
+      // chain goes on to step 3, which reproduces.
+      {"unconfirmed bug mid-window", 0, 0, 2, 3, 350, {0, 1, 2}, true, 4, 0},
+      {"bug confirmed mid-window", 0, 0, 0, 3, 350, {0, 1, 2}, true, 4, 0},
+      // The Level-2 cap (L1 + 3) is reached at step 3 of 6.
+      {"level-2 cap mid-window", 0, 0, 0, 0, 3, {0, 1, 2}, false, 4, 0},
+      // With no other server node, amplification adds no replica: the amp
+      // probe is canonically step 3 again and is pruned as a duplicate.
+      // (Chain steps themselves never repeat: each conditions the same fault
+      // on a different chain.)
+      {"amp probe equal to a schedule that ran", 0, 3, 0, 0, 350, {0}, false, 4, 1},
+  };
+
+  for (const ChainCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const uint64_t base_seed = DiagnosisConfig().base_seed;
+    auto runner = [c, base_seed](const ScheduleRunRequest& request) {
+      const FaultSchedule& schedule = *request.schedule;
+      const ScheduledFault& crash = schedule.faults[0];
+      std::vector<int32_t> chain;  // Earliest first, as the conditions list it.
+      for (const auto& condition : crash.conditions) {
+        if (condition.kind == Condition::Kind::kFunctionEnter) {
+          chain.push_back(condition.function_id);
+        }
+      }
+      const int length = static_cast<int>(chain.size());
+      const bool amplified = schedule.faults.size() > 1;
+      ScheduleRunOutcome outcome;
+      // Seed-dependent, so a probe run with a wrong seed changes virtual_time.
+      outcome.virtual_duration = Seconds(20) + static_cast<SimTime>(request.seed % 1000);
+      outcome.feedback.outcomes.resize(schedule.faults.size());
+      const bool injected =
+          c.amplified_only_from == 0 || length < c.amplified_only_from || amplified;
+      for (auto& fault : outcome.feedback.outcomes) {
+        fault.injected = injected;
+        fault.injected_at = Seconds(20);
+      }
+      // The testing run enters the production functions in production order,
+      // except that a mismatching run swaps in function 99 where this chain's
+      // earliest function should be.
+      for (int i = 0; i < 8; i++) {
+        const int32_t function_id = 80 - 10 * i;
+        const bool swapped = c.mismatch_from > 0 && length >= c.mismatch_from &&
+                             length == 8 - i;
+        outcome.trace.Append(Af(Seconds(11 + i), 0, swapped ? 99 : function_id));
+      }
+      const bool first_run =
+          request.seed == DeriveRunSeed(base_seed, CanonicalHash(schedule), 0);
+      outcome.bug = injected && length > 0 &&
+                    (length == c.bug_at || (length == c.flaky_at && first_run));
+      return outcome;
+    };
+
+    DiagnosisConfig config = TestConfig();
+    config.level2_budget = c.level2_budget;
+    config.server_nodes = c.server_nodes;
+    Counter* abandoned = MetricRegistry::Global().GetCounter("engine.speculative_abandoned");
+    uint64_t before = abandoned->value();
+    const DiagnosisResult serial = Diagnose(production, profile, binary, runner, config);
+    const uint64_t serial_abandoned = abandoned->value() - before;
+    EXPECT_EQ(serial.reproduced, c.reproduced);
+    EXPECT_EQ(serial.schedules_generated, c.schedules_generated);
+    EXPECT_EQ(serial.schedules_pruned_duplicate, c.pruned_duplicate);
+    if (c.reproduced) {
+      EXPECT_EQ(serial.level, 2);
+    }
+    for (int parallelism : {2, 4, 8}) {
+      SCOPED_TRACE(parallelism);
+      DiagnosisConfig parallel_config = config;
+      parallel_config.parallelism = parallelism;
+      before = abandoned->value();
+      const DiagnosisResult parallel =
+          Diagnose(production, profile, binary, runner, parallel_config);
+      ExpectSameDiagnosis(serial, parallel);
+#if ROSE_OBS_ENABLED
+      // Every case stops extending before step 4, inside the first window
+      // (4 steps or more), so the window's later steps are planned and then
+      // discarded.
+      EXPECT_GT(abandoned->value() - before, serial_abandoned);
+#else
+      (void)serial_abandoned;
+#endif
+    }
   }
 }
 

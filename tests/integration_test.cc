@@ -90,43 +90,47 @@ TEST(PipelineTest, EndToEndZookeeper3006ReproducesAtLevelOne) {
   EXPECT_TRUE(names_snapshot);
 }
 
+// The worker-pool engine must be bit-for-bit identical to the serial one on
+// the real pipeline (profiling, production trace, diagnosis), not just on
+// synthetic runners.
+void ExpectParallelMatchesSerial(const char* id, uint64_t seed) {
+  SCOPED_TRACE(id);
+  const BugSpec* spec = FindBug(id);
+  ASSERT_NE(spec, nullptr);
+  RoseConfig serial_config;
+  serial_config.seed = seed;
+  const RoseReport serial = ReproduceBug(*spec, serial_config);
+
+  RoseConfig parallel_config;
+  parallel_config.seed = seed;
+  parallel_config.diagnosis.parallelism = 4;
+  const RoseReport parallel = ReproduceBug(*spec, parallel_config);
+
+  ASSERT_TRUE(serial.reproduced());
+  EXPECT_EQ(parallel.reproduced(), serial.reproduced());
+  EXPECT_EQ(CanonicalHash(parallel.diagnosis.schedule), CanonicalHash(serial.diagnosis.schedule));
+  EXPECT_EQ(parallel.diagnosis.fault_summary, serial.diagnosis.fault_summary);
+  EXPECT_EQ(parallel.replay_rate(), serial.replay_rate());
+  EXPECT_EQ(parallel.diagnosis.level, serial.diagnosis.level);
+  EXPECT_EQ(parallel.schedules(), serial.schedules());
+  EXPECT_EQ(parallel.diagnosis.schedules_pruned_invalid,
+            serial.diagnosis.schedules_pruned_invalid);
+  EXPECT_EQ(parallel.diagnosis.schedules_pruned_duplicate,
+            serial.diagnosis.schedules_pruned_duplicate);
+  EXPECT_EQ(parallel.runs(), serial.runs());
+  EXPECT_EQ(parallel.diagnosis.virtual_time, serial.diagnosis.virtual_time);
+  EXPECT_EQ(parallel.fr_percent(), serial.fr_percent());
+}
+
 TEST(PipelineTest, ParallelDiagnosisMatchesSerialOnRealBugs) {
-  // The worker-pool engine must be bit-for-bit identical to the serial one
-  // on the real pipeline (profiling, production trace, diagnosis), not just
-  // on synthetic runners.
-  struct Case {
-    const char* id;
-    uint64_t seed;
-  };
-  for (const Case& c : {Case{"Zookeeper-3006", 5}, Case{"Zookeeper-3157", 3}}) {
-    const BugSpec* spec = FindBug(c.id);
-    ASSERT_NE(spec, nullptr) << c.id;
-    RoseConfig serial_config;
-    serial_config.seed = c.seed;
-    const RoseReport serial = ReproduceBug(*spec, serial_config);
+  ExpectParallelMatchesSerial("Zookeeper-3006", 5);
+  ExpectParallelMatchesSerial("Zookeeper-3157", 3);
+}
 
-    RoseConfig parallel_config;
-    parallel_config.seed = c.seed;
-    parallel_config.diagnosis.parallelism = 4;
-    const RoseReport parallel = ReproduceBug(*spec, parallel_config);
-
-    ASSERT_TRUE(serial.reproduced()) << c.id;
-    EXPECT_EQ(parallel.reproduced(), serial.reproduced()) << c.id;
-    EXPECT_EQ(CanonicalHash(parallel.diagnosis.schedule), CanonicalHash(serial.diagnosis.schedule))
-        << c.id;
-    EXPECT_EQ(parallel.diagnosis.fault_summary, serial.diagnosis.fault_summary) << c.id;
-    EXPECT_EQ(parallel.replay_rate(), serial.replay_rate()) << c.id;
-    EXPECT_EQ(parallel.diagnosis.level, serial.diagnosis.level) << c.id;
-    EXPECT_EQ(parallel.schedules(), serial.schedules()) << c.id;
-    EXPECT_EQ(parallel.diagnosis.schedules_pruned_invalid, serial.diagnosis.schedules_pruned_invalid)
-        << c.id;
-    EXPECT_EQ(parallel.diagnosis.schedules_pruned_duplicate,
-              serial.diagnosis.schedules_pruned_duplicate)
-        << c.id;
-    EXPECT_EQ(parallel.runs(), serial.runs()) << c.id;
-    EXPECT_EQ(parallel.diagnosis.virtual_time, serial.diagnosis.virtual_time) << c.id;
-    EXPECT_EQ(parallel.fr_percent(), serial.fr_percent()) << c.id;
-  }
+TEST(PipelineTest, ParallelDiagnosisMatchesSerialOnLevelTwoBug) {
+  // RedisRaft-43 reaches Level 2: Algorithm 1's chain windows and
+  // amplification run on real traces.
+  ExpectParallelMatchesSerial("RedisRaft-43", 42);
 }
 
 TEST(ZeroCopyPipelineTest, MmapLoadDiagnosesLikeInMemoryWindow) {

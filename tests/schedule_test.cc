@@ -128,6 +128,95 @@ TEST(FaultScheduleTest, FromYamlRejectsGarbage) {
   EXPECT_FALSE(FaultSchedule::FromYaml("random text without colon-lines at all", &parsed));
 }
 
+TEST(FaultScheduleTest, FromYamlRejectsMalformedFieldsWithTheirLine) {
+  // Each input breaks one field, and the error names its line and the
+  // reason. A lenient parser turned most of these into a default value.
+  const std::string head =
+      "schedule:\n  name: strict\n  faults:\n    - kind: syscall\n      node: 1\n";
+  struct Case {
+    std::string yaml;
+    std::string error;
+  };
+  const Case cases[] = {
+      {head + "      nth: abc\n", "line 6: nth: 'abc' is not a number in range"},
+      {head + "      nth: 99999999999\n", "line 6: nth: '99999999999' is not a number in range"},
+      // 2^64 + 3, which a wrapping digit loop would read as 3.
+      {head + "      nth: 18446744073709551619\n",
+       "line 6: nth: '18446744073709551619' is not a number in range"},
+      {head + "      errno: EBOGUS\n", "line 6: unknown errno 'EBOGUS'"},
+      {head + "      sys: frobnicate\n", "line 6: unknown syscall 'frobnicate'"},
+      {head + "      persistent: yes\n", "line 6: persistent: 'yes' is neither true nor false"},
+      {head + "      retries: 3\n", "line 6: unknown key 'retries'"},
+      {head + "      duration: 5s\n", "line 6: duration: '5s' is not a number in range"},
+      {"schedule:\n  name: strict\n  faults:\n    - kind: crash\n      node: one\n",
+       "line 5: node: 'one' is not a number in range"},
+      {head + "      conditions:\n        - type: function\n          fid: ten\n",
+       "line 8: fid: 'ten' is not a number in range"},
+      {head + "      conditions:\n        - type: offset\n          fid: 1\n          off: 0x10\n",
+       "line 9: off: '0x10' is not a number in range"},
+      {head + "      conditions:\n        - type: after_fault\n          fault: first\n",
+       "line 8: fault: 'first' is not a number in range"},
+      {head + "      conditions:\n        - type: syscall_count\n          count: many\n",
+       "line 8: count: 'many' is not a number in range"},
+      {head + "      conditions:\n        - type: at_time\n          time: soon\n",
+       "line 8: time: 'soon' is not a number in range"},
+      {head + "      conditions:\n        - type: exec_index\n          ctx: 12xz\n",
+       "line 8: ctx: '12xz' is not a 64-bit hex digest"},
+      {head + "      conditions:\n        - type: exec_index\n          ctx: 1234567890abcdef0\n",
+       "line 8: ctx: '1234567890abcdef0' is not a 64-bit hex digest"},
+      {head + "      conditions:\n        - type: function\n          sys: frobnicate\n",
+       "line 8: unknown syscall 'frobnicate'"},
+      {head + "      conditions:\n        - type: function\n          weight: 2\n",
+       "line 8: unknown key 'weight'"},
+      {head + "      conditions:\n          fid: 3\n",
+       "line 7: condition key 'fid' before its '- type:'"},
+      {head + "      conditions:\n        - type: sometimes\n",
+       "line 7: unknown condition type 'sometimes'"},
+      {head + "      nth: 3\nretries: 3\n", "line 7: unknown key 'retries'"},
+      {"retries: 3\n", "line 1: unknown key 'retries' before the first '- kind:'"},
+      {"schedule:\n  faults:\n    - kind: martian\n", "line 3: unknown fault kind 'martian'"},
+      {"schedule:\n  faults\n", "line 2: expected 'key: value'"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.yaml);
+    FaultSchedule parsed;
+    std::string error;
+    EXPECT_FALSE(FaultSchedule::FromYaml(c.yaml, &parsed, &error));
+    EXPECT_EQ(error, c.error);
+  }
+}
+
+TEST(FaultScheduleTest, FromYamlAcceptsEveryNameToYamlEmits) {
+  // Every syscall and errno name, both persistent values, negative nodes
+  // (kNoNode) and a full-width ctx digest round-trip; comments are skipped.
+  const Err errs[] = {Err::kOk,      Err::kEPERM,       Err::kENOENT,     Err::kEINTR,
+                      Err::kEIO,     Err::kEBADF,       Err::kEAGAIN,     Err::kEACCES,
+                      Err::kEEXIST,  Err::kENOTDIR,     Err::kEISDIR,     Err::kEINVAL,
+                      Err::kEMFILE,  Err::kENOSPC,      Err::kEPIPE,      Err::kENETUNREACH,
+                      Err::kECONNRESET, Err::kENOTCONN, Err::kETIMEDOUT,  Err::kECONNREFUSED,
+                      Err::kESTALE};
+  FaultSchedule schedule;
+  schedule.name = "every-name";
+  for (size_t i = 0; i < sizeof(errs) / sizeof(errs[0]); i++) {
+    ScheduledFault fault;
+    fault.kind = FaultKind::kSyscallFailure;
+    fault.target_node = i == 0 ? kNoNode : static_cast<NodeId>(i);
+    fault.syscall.sys = static_cast<Sys>(i % kNumSyscalls);
+    fault.syscall.err = errs[i];
+    fault.syscall.persistent = i % 2 == 1;
+    fault.conditions.push_back(
+        Condition::ExecutionIndex(fault.syscall.sys, ~0ULL - i, 1, "/data/x"));
+    fault.conditions.push_back(Condition::SyscallCount(
+        static_cast<Sys>((i + 7) % kNumSyscalls), "", 2));
+    schedule.faults.push_back(fault);
+  }
+  FaultSchedule parsed;
+  std::string error;
+  ASSERT_TRUE(FaultSchedule::FromYaml("# leading comment\n" + schedule.ToYaml(), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.ToYaml(), schedule.ToYaml());
+}
+
 TEST(FaultScheduleTest, EmptyScheduleRoundTrips) {
   FaultSchedule schedule;
   schedule.name = "empty";

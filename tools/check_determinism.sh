@@ -24,11 +24,19 @@
 #       again. Registered as `serve_determinism`.
 #   tools/check_determinism.sh --cluster [build_dir]
 #       clustered serve determinism (DESIGN.md section 15): route the same
-#       submissions through a 2-shard rose_routerd twice — the second run
-#       killing shard0 mid-job, so one job fails over to the ring successor —
-#       and require byte-identical schedule YAML from both runs, and from a
-#       single rose_served daemon for the same (bug, seed). Registered as
+#       submissions through a 2-shard rose_routerd three times — twice clean,
+#       once killing shard0 mid-job, so one job fails over to the ring
+#       successor — and require byte-identical schedule YAML from all runs
+#       and from a single rose_served daemon for the same (bug, seed), plus
+#       byte-identical stdout from the two clean runs (the kill run's output
+#       says when the kill landed, which depends on timing). Registered as
 #       `cluster_determinism`.
+#   tools/check_determinism.sh --parallel [build_dir]
+#       cross-parallelism determinism (DESIGN.md section 8): run
+#       reproduce_bug on the Level-2/3 bugs at --parallelism=1 and =4 and
+#       require byte-identical stdout and --schedule-out YAML. RedisRaft-51
+#       also fails its first try at seed 42. Registered as
+#       `parallel_determinism`.
 #   tools/check_determinism.sh --stream [build_dir]
 #       streaming ingestion determinism (DESIGN.md section 16): capture one
 #       production dump, stream it through rose_serve_cli --stream twice
@@ -91,13 +99,24 @@ if [ "${1:-lint}" = "--cluster" ] || [ "${1:-lint}" = "cluster" ]; then
   bugs="${CLUSTER_DETERMINISM_BUGS:-RedisRaft-42 RedisRaft-43}"
   seed="${SERVE_DETERMINISM_SEED:-42}"
 
-  # Run 1: a clean 2-shard cluster. Run 2: the same submissions, but shard0
-  # is crashed as soon as it starts a job — failover must be invisible in
-  # the output bytes. (Journal + follower exercise replication too.)
-  # shellcheck disable=SC2086
-  "$routerd" --shards 2 --seed "$seed" --journal "$work/run1.rjnl" \
-    --out "$work/run1" $bugs > /dev/null \
-    || { echo "cluster determinism: clean cluster run failed" >&2; exit 1; }
+  # Runs 1 and 1b: a clean 2-shard cluster, twice. Run 2: the same
+  # submissions, but shard0 is crashed as soon as it starts a job — failover
+  # must be invisible in the output bytes. (Journal + follower exercise
+  # replication too.) Both clean runs use the same paths, which their stdout
+  # names, so it can be compared byte for byte.
+  for run in run1b run1; do
+    mkdir "$work/clean"
+    # shellcheck disable=SC2086
+    "$routerd" --shards 2 --seed "$seed" --journal "$work/clean/journal.rjnl" \
+      --out "$work/clean" $bugs > "$work/$run.stdout" \
+      || { echo "cluster determinism: clean cluster run failed" >&2; exit 1; }
+    mv "$work/clean" "$work/$run"
+  done
+  if ! cmp -s "$work/run1.stdout" "$work/run1b.stdout"; then
+    echo "cluster determinism FAILED: two clean cluster runs print different stdout:" >&2
+    diff "$work/run1.stdout" "$work/run1b.stdout" >&2 || true
+    exit 1
+  fi
   # shellcheck disable=SC2086
   "$routerd" --shards 2 --seed "$seed" --kill-shard shard0 \
     --journal "$work/run2.rjnl" --follower "$work/run2-follower.rjnl" \
@@ -125,8 +144,9 @@ if [ "${1:-lint}" = "--cluster" ] || [ "${1:-lint}" = "cluster" ]; then
       exit 1
     fi
   done
-  echo "cluster determinism OK: 2-shard cluster twice (one mid-job kill) +" \
-       "single daemon -> byte-identical schedule YAML; follower journal matches."
+  echo "cluster determinism OK: 2-shard cluster three times (one mid-job kill) +" \
+       "single daemon -> byte-identical schedule YAML; clean runs print identical" \
+       "stdout; follower journal matches."
   exit 0
 fi
 
@@ -166,6 +186,41 @@ if [ "${1:-lint}" = "--stream" ] || [ "${1:-lint}" = "stream" ]; then
   fi
   echo "stream determinism OK: streamed twice + classic submit -> byte-identical" \
        "schedule YAML."
+  exit 0
+fi
+
+if [ "${1:-lint}" = "--parallel" ] || [ "${1:-lint}" = "parallel" ]; then
+  build_dir="${2:-build}"
+  offline="${build_dir}/examples/reproduce_bug"
+  if [ ! -x "$offline" ]; then
+    echo "parallel determinism: build reproduce_bug first ($build_dir)" >&2
+    exit 1
+  fi
+  work="$(mktemp -d)"
+  trap 'rm -rf "$work"' EXIT
+  # The five bugs that need Level 2 or 3, at a fixed seed.
+  bugs="RedisRaft-43 RedisRaft-51 RedisRaft-NEW HDFS-15032 Zookeeper-2247"
+  seed=42
+
+  # Each run writes the same --schedule-out path, which stdout names, and
+  # then moves it aside, so stdout compares byte for byte.
+  for bug in $bugs; do
+    for parallelism in 1 4; do
+      "$offline" "$bug" "$seed" --parallelism="$parallelism" \
+        --schedule-out="$work/schedule.yaml" > "$work/$bug-p$parallelism.stdout" \
+        || { echo "parallel determinism: $bug at parallelism $parallelism failed" >&2; exit 1; }
+      mv "$work/schedule.yaml" "$work/$bug-p$parallelism.yaml"
+    done
+    for ext in stdout yaml; do
+      if ! cmp -s "$work/$bug-p1.$ext" "$work/$bug-p4.$ext"; then
+        echo "parallel determinism FAILED: $bug $ext differs between parallelism 1 and 4:" >&2
+        diff "$work/$bug-p1.$ext" "$work/$bug-p4.$ext" >&2 || true
+        exit 1
+      fi
+    done
+  done
+  echo "parallel determinism OK: $bugs -> byte-identical stdout and schedule YAML" \
+       "at parallelism 1 and 4."
   exit 0
 fi
 
