@@ -395,6 +395,19 @@ TEST(StringsTest, StrFormatBasics) {
   EXPECT_EQ(StrFormat("empty"), "empty");
 }
 
+TEST(StringsTest, StrFormatAroundTheStackBufferSize) {
+  EXPECT_EQ(StrFormat("%s", ""), "");
+  for (const size_t n : {size_t{255}, size_t{256}, size_t{257}, size_t{4096}}) {
+    const std::string text(n, 'a');
+    const std::string out = StrFormat("%s", text.c_str());
+    EXPECT_EQ(out.size(), n);
+    EXPECT_EQ(out, text);
+  }
+  // A long result built from several conversions keeps every byte in order.
+  const std::string tail(250, 'z');
+  EXPECT_EQ(StrFormat("%d:%s:%d", 12345, tail.c_str(), -6), "12345:" + tail + ":-6");
+}
+
 TEST(StringsTest, PrefixSuffixContains) {
   EXPECT_TRUE(StartsWith("sock:10.0.0.1", "sock:"));
   EXPECT_FALSE(StartsWith("so", "sock:"));
