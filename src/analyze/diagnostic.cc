@@ -46,6 +46,8 @@ std::string_view DiagCodeName(DiagCode code) {
       return "SL014";
     case DiagCode::kBadTime:
       return "SL015";
+    case DiagCode::kSyscallFaultOkErrno:
+      return "SL016";
     case DiagCode::kNonMonotonicTimestamp:
       return "TV101";
     case DiagCode::kOrphanPid:

@@ -44,6 +44,7 @@ enum class DiagCode : int16_t {
   kUnknownFunction,         // SL013: function id not present in the binary's symbols.
   kNoTargetNode,            // SL014: non-partition fault with no target node.
   kBadTime,                 // SL015: negative kAtTime can never be reached.
+  kSyscallFaultOkErrno,     // SL016: syscall fault whose errno is OK injects no failure.
   // --- Trace lints (TV...) ---
   kNonMonotonicTimestamp,   // TV101: event timestamp precedes its predecessor.
   kOrphanPid,               // TV102: event from a pid the run never spawned.

@@ -82,6 +82,13 @@ std::vector<Diagnostic> ScheduleLinter::Lint(const FaultSchedule& schedule) cons
                     fault.syscall.nth),
           "use nth >= 1"));
     }
+    if (fault.kind == FaultKind::kSyscallFailure && fault.syscall.err == Err::kOk) {
+      diags.push_back(MakeDiag(
+          DiagCode::kSyscallFaultOkErrno, Severity::kError, index,
+          StrFormat("syscall fault on %s has errno OK: the injected call returns success",
+                    std::string(SysName(fault.syscall.sys)).c_str()),
+          "give the fault a failure errno such as EIO"));
+    }
     if (fault.kind == FaultKind::kNetworkPartition &&
         (fault.network.group_a.empty() || fault.network.group_b.empty())) {
       diags.push_back(MakeDiag(DiagCode::kEmptyPartitionGroup, Severity::kWarning, index,

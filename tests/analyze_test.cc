@@ -187,6 +187,18 @@ std::vector<LintCase> MalformedScheduleCases() {
          return s;
        },
        DiagCode::kBadTime, Severity::kError},
+      {"ok_errno",
+       [] {
+         FaultSchedule s;
+         ScheduledFault f;
+         f.kind = FaultKind::kSyscallFailure;
+         f.target_node = 0;
+         f.syscall.sys = Sys::kWrite;
+         f.syscall.err = Err::kOk;
+         s.faults.push_back(f);
+         return s;
+       },
+       DiagCode::kSyscallFaultOkErrno, Severity::kError},
   };
 }
 
