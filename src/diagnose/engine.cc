@@ -201,8 +201,8 @@ DiagnosisEngine::PlannedProbe DiagnosisEngine::PlanProbe(
     }
   }
   probe.hash = CanonicalHash(probe.schedule);
-  probe.inserted_hash = executed_hashes_.insert(probe.hash).second;
-  if (!probe.inserted_hash && !allow_duplicate) {
+  const bool first_of_its_hash = executed_hashes_.insert(probe.hash).second;
+  if (!first_of_its_hash && !allow_duplicate) {
     probe.action = PlannedProbe::Action::kPruneDuplicate;
     return probe;
   }
@@ -249,17 +249,12 @@ void DiagnosisEngine::AbandonWindow(ProbeWindow* window, size_t consumed) {
   if (consumed >= window->size()) {
     return;  // Nothing speculative is left.
   }
-  // Abandoned probes must leave no trace: un-consumed hash insertions are
-  // rolled back so later phases dedup exactly like the serial engine, which
-  // never planned these candidates at all.
+  // The abandoned probes' hashes stay in executed_hashes_: no later phase
+  // can plan a candidate canonically equal to one of them (DESIGN.md §8,
+  // "Abandoned probes leave their dedup hashes"), so dedup decides as the
+  // serial engine, which never planned them at all, would.
   window->batch->Abandon();
   metrics_.speculative_abandoned->Inc(window->size() - consumed);
-  for (size_t j = consumed; j < window->size(); j++) {
-    const PlannedProbe& probe = window->probe(j);
-    if (probe.inserted_hash) {
-      executed_hashes_.erase(probe.hash);
-    }
-  }
   // Park the batch until its in-flight runs finish; drop the parked batches
   // whose runs have all finished, with their probes.
   retired_.push_back(std::move(window->batch));

@@ -201,9 +201,6 @@ class DiagnosisEngine {
     FaultSchedule schedule;
     uint64_t hash = 0;
     Action action = Action::kRun;
-    // Whether planning inserted `hash` into executed_hashes_ (rolled back if
-    // the probe is abandoned unconsumed).
-    bool inserted_hash = false;
     // Speculative per-schedule run index; re-validated at consumption.
     uint32_t tentative_index = 0;
     int batch_slot = -1;
