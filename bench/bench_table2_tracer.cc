@@ -6,7 +6,11 @@
 // plus a no-tracer baseline. Reported per mode: events matching the tracer
 // criteria, events saved in the window, window memory, trace processing time
 // (real host seconds for the dump post-processing), and application-level
-// overhead (throughput degradation vs the baseline).
+// overhead (throughput degradation vs the baseline). A second table gives
+// each mode's host wall time for the 60 virtual seconds (best of five), so
+// the tracer's cost can be read in host time as well as in virtual time.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "src/apps/raftkv/raftkv.h"
@@ -26,6 +30,7 @@ struct ModeResult {
   uint64_t ops_completed = 0;
   uint64_t syscalls = 0;
   SimTime virtual_overhead = 0;
+  double host_seconds = 0;  // Wall time of the 60 virtual seconds.
 };
 
 ModeResult RunMode(bool with_tracer, TracerMode mode, uint64_t seed) {
@@ -60,10 +65,14 @@ ModeResult RunMode(bool with_tracer, TracerMode mode, uint64_t seed) {
     tracer.emplace(&world.kernel, &world.network, tracer_config);
     tracer->Attach();
   }
+  const auto start = std::chrono::steady_clock::now();
   cluster.Start();
   world.loop.RunUntil(Seconds(60));
+  const double host_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   ModeResult result;
+  result.host_seconds = host_seconds;
   for (NodeId id : clients) {
     result.ops_completed += dynamic_cast<KvClient*>(cluster.node(id))->ops_completed();
   }
@@ -78,6 +87,17 @@ ModeResult RunMode(bool with_tracer, TracerMode mode, uint64_t seed) {
     result.virtual_overhead = stats.virtual_overhead;
   }
   return result;
+}
+
+// Runs a mode five times (each run is identical in virtual time) and keeps
+// the fastest host time, which is the least disturbed by other load.
+ModeResult RunModeBestOfFive(bool with_tracer, TracerMode mode, uint64_t seed) {
+  ModeResult best = RunMode(with_tracer, mode, seed);
+  for (int i = 0; i < 4; i++) {
+    best.host_seconds =
+        std::min(best.host_seconds, RunMode(with_tracer, mode, seed).host_seconds);
+  }
+  return best;
 }
 
 std::string Human(int64_t bytes) {
@@ -97,10 +117,10 @@ int main() {
   std::printf("(3-node RaftKV cluster, YCSB-A style 50/50 workload, 60 virtual seconds)\n\n");
 
   const uint64_t seed = 7;
-  const ModeResult baseline = RunMode(false, TracerMode::kRose, seed);
-  const ModeResult rose_mode = RunMode(true, TracerMode::kRose, seed);
-  const ModeResult full = RunMode(true, TracerMode::kFull, seed);
-  const ModeResult io_content = RunMode(true, TracerMode::kIoContent, seed);
+  const ModeResult baseline = RunModeBestOfFive(false, TracerMode::kRose, seed);
+  const ModeResult rose_mode = RunModeBestOfFive(true, TracerMode::kRose, seed);
+  const ModeResult full = RunModeBestOfFive(true, TracerMode::kFull, seed);
+  const ModeResult io_content = RunModeBestOfFive(true, TracerMode::kIoContent, seed);
 
   // The paper measures Redis throughput degradation; Redis is syscall-bound,
   // so the equivalent in the simulator is the tracer's added time relative to
@@ -142,6 +162,21 @@ int main() {
               static_cast<unsigned long long>(rose_mode.ops_completed),
               static_cast<unsigned long long>(full.ops_completed),
               static_cast<unsigned long long>(io_content.ops_completed));
+
+  // Host time: the same 60 virtual seconds on this machine, per mode, with
+  // the added wall time relative to running without a tracer. Virtual
+  // overhead above is deterministic; these figures vary with the host.
+  std::printf("\nhost wall time for the 60 virtual seconds (best of 5):\n");
+  std::printf("%-11s | %9s | %s\n", "Approach", "Host(s)", "vs no tracer");
+  std::printf("------------+-----------+-------------\n");
+  std::printf("%-11s | %9.3f | %s\n", "none", baseline.host_seconds, "-");
+  for (const auto& [name, result] : {std::pair<const char*, const ModeResult*>{"rose", &rose_mode},
+                                     {"full", &full},
+                                     {"io-content", &io_content}}) {
+    std::printf("%-11s | %9.3f | %+6.1f%%\n", name, result->host_seconds,
+                100.0 * (result->host_seconds - baseline.host_seconds) /
+                    baseline.host_seconds);
+  }
 
   // Shape checks: rose sees orders of magnitude fewer events and costs less
   // than full, which costs less than io-content.
