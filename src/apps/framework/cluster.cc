@@ -16,10 +16,12 @@ Cluster::~Cluster() { kernel_->RemoveObserver(this); }
 
 NodeId Cluster::AddNode(NodeFactory factory) {
   const auto id = static_cast<NodeId>(slots_.size());
+  const std::string ip = StrFormat("10.0.0.%d", id + 1);
   Slot slot;
   slot.factory = std::move(factory);
+  slot.ip = network_->InternIp(ip);
   slots_.push_back(std::move(slot));
-  kernel_->RegisterNode(id, StrFormat("10.0.0.%d", id + 1));
+  kernel_->RegisterNode(id, ip);
   return id;
 }
 
@@ -99,15 +101,15 @@ bool Cluster::SendMessage(GuestNode* src, NodeId dst, Message msg) {
     fd = fd_it->second;
   }
 
-  const SyscallResult sent = kernel_->SendTo(src->pid(), fd, msg.ByteSize());
+  const int64_t size = msg.ByteSize();
+  const SyscallResult sent = kernel_->SendTo(src->pid(), fd, size);
   if (!sent.ok()) {
     slot.conn_fds.erase(dst);
     return false;
   }
 
-  const int64_t size = msg.ByteSize();
-  network_->Send(kernel_->IpOf(src_id), kernel_->IpOf(dst), size,
-                 [this, dst, msg = std::move(msg)] { Deliver(dst, msg); });
+  network_->Send(slot.ip, slots_[static_cast<size_t>(dst)].ip, size,
+                 [this, dst, msg = std::move(msg)]() mutable { Deliver(dst, std::move(msg)); });
   return true;
 }
 
@@ -170,6 +172,15 @@ void Cluster::AppendLog(NodeId id, const std::string& line) {
   slot.log.push_back(StrFormat("[%9.3fs n%d] ", ToSeconds(kernel_->now()), id) + line);
 }
 
+int32_t Cluster::FunctionId(const char* name) {
+  auto [it, inserted] = function_ids_.try_emplace(name, -1);
+  if (inserted) {
+    const FunctionInfo* info = binary_->FindByName(name);
+    it->second = info == nullptr ? -1 : info->id;
+  }
+  return it->second;
+}
+
 void Cluster::Panic(GuestNode* node, const std::string& reason) {
   AppendLog(node->id(), "PANIC: " + reason);
   kernel_->Kill(node->pid());
@@ -217,7 +228,9 @@ void Cluster::FlushPending(NodeId id) {
   while (!slot.pending_messages.empty()) {
     Message msg = std::move(slot.pending_messages.front());
     slot.pending_messages.pop_front();
-    loop().ScheduleAfter(0, [this, id, msg = std::move(msg)] { Deliver(id, msg); });
+    loop().ScheduleAfter(0, [this, id, msg = std::move(msg)]() mutable {
+      Deliver(id, std::move(msg));
+    });
   }
 }
 

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/apps/framework/message.h"
@@ -67,6 +68,9 @@ class Cluster : public KernelObserver {
   void SetTimer(GuestNode* node, const std::string& name, SimTime delay);
   void CancelTimer(GuestNode* node, const std::string& name);
   void AppendLog(NodeId id, const std::string& line);
+  // Id of a function announced by name, -1 when the binary lacks it.
+  // `name` must be a string literal: the id is cached by its address.
+  int32_t FunctionId(const char* name);
   // Deliberate self-crash (panic); unwinds via ProcessInterrupted.
   [[noreturn]] void Panic(GuestNode* node, const std::string& reason);
 
@@ -85,6 +89,7 @@ class Cluster : public KernelObserver {
     NodeFactory factory;
     std::unique_ptr<GuestNode> guest;
     Pid pid = kNoPid;
+    IpId ip = kNoIp;
     uint64_t generation = 0;
     int restarts = 0;
     bool permanently_down = false;
@@ -110,6 +115,7 @@ class Cluster : public KernelObserver {
   ClusterConfig config_;
   Rng rng_;
   std::vector<Slot> slots_;
+  std::unordered_map<const char*, int32_t> function_ids_;
   bool started_ = false;
 };
 

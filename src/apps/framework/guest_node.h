@@ -59,7 +59,8 @@ class GuestNode {
 
   // --- Uprobe announcements -------------------------------------------------------
   // Announce entry into a named function (must be registered in the guest's
-  // BinaryInfo). The executor may crash/pause this process right here.
+  // BinaryInfo). The executor may crash/pause this process right here. The
+  // name must be a string literal (see Cluster::FunctionId).
   void EnterFunction(const char* function_name);
   // Announce reaching a specific offset within a function.
   void AtOffset(const char* function_name, int32_t offset);

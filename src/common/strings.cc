@@ -33,14 +33,21 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string StrFormat(const char* fmt, ...) {
+  // One vsnprintf into a stack buffer covers nearly every call; only a
+  // result that does not fit is formatted a second time, straight into the
+  // string.
+  char buf[256];
   va_list args;
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  const int needed = std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
-  std::string out(needed > 0 ? static_cast<size_t>(needed) : 0, '\0');
-  if (needed > 0) {
+  std::string out;
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(buf)) {
+    out.assign(buf, static_cast<size_t>(needed));
+  } else if (needed > 0) {
+    out.resize(static_cast<size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   }
   va_end(args_copy);

@@ -76,10 +76,10 @@ NodeId Executor::NodeOfPid(Pid pid) const {
 
 std::string Executor::InputOf(const SyscallInvocation& inv) const {
   if (SysTakesPath(inv.sys)) {
-    return inv.path;
+    return std::string(inv.path);
   }
   if (!inv.remote_ip.empty()) {
-    return "sock:" + inv.remote_ip;
+    return std::string("sock:").append(inv.remote_ip);
   }
   if (inv.fd >= 0) {
     return kernel_->PathOfFd(inv.pid, inv.fd);

@@ -4,14 +4,29 @@
 
 namespace rose {
 
-Network::Network(EventLoop* loop, uint64_t seed) : loop_(loop), rng_(seed) {}
+Network::Network(EventLoop* loop, uint64_t seed)
+    : loop_(loop), rng_(seed), wildcard_(InternIp("*")) {}
+
+IpId Network::InternIp(std::string_view ip) {
+  auto [it, inserted] =
+      ip_ids_.try_emplace(std::string(ip), static_cast<IpId>(ip_names_.size()));
+  if (inserted) {
+    ip_names_.emplace_back(ip);
+  }
+  return it->second;
+}
+
+IpId Network::FindIp(const std::string& ip) const {
+  auto it = ip_ids_.find(ip);
+  return it == ip_ids_.end() ? kNoIp : it->second;
+}
 
 void Network::Block(const std::string& src_ip, const std::string& dst_ip) {
-  rules_.insert({src_ip, dst_ip});
+  rules_.insert({InternIp(src_ip), InternIp(dst_ip)});
 }
 
 void Network::Unblock(const std::string& src_ip, const std::string& dst_ip) {
-  rules_.erase({src_ip, dst_ip});
+  rules_.erase({InternIp(src_ip), InternIp(dst_ip)});
 }
 
 void Network::Partition(const std::vector<std::string>& group_a,
@@ -48,13 +63,16 @@ void Network::Isolate(const std::string& ip, const std::vector<std::string>& oth
 void Network::HealAll() { rules_.clear(); }
 
 bool Network::IsReachable(const std::string& src_ip, const std::string& dst_ip) {
-  if (rules_.count({src_ip, dst_ip}) != 0) {
-    return false;
+  return rules_.empty() || IsReachable(FindIp(src_ip), FindIp(dst_ip));
+}
+
+bool Network::IsReachable(IpId src_ip, IpId dst_ip) const {
+  if (rules_.empty()) {
+    return true;
   }
-  if (rules_.count({"*", dst_ip}) != 0 || rules_.count({src_ip, "*"}) != 0) {
-    return false;
-  }
-  return true;
+  // An ip no rule ever named has no id and matches only the wildcards.
+  return rules_.count({src_ip, dst_ip}) == 0 && rules_.count({wildcard_, dst_ip}) == 0 &&
+         rules_.count({src_ip, wildcard_}) == 0;
 }
 
 SimTime Network::NextLatency() {
@@ -64,8 +82,7 @@ SimTime Network::NextLatency() {
   return base_latency_ + static_cast<SimTime>(rng_.NextBelow(static_cast<uint64_t>(jitter_)));
 }
 
-void Network::Send(const std::string& src_ip, const std::string& dst_ip, int64_t size,
-                   std::function<void()> deliver) {
+void Network::Send(IpId src_ip, IpId dst_ip, int64_t size, std::function<void()> deliver) {
   if (!IsReachable(src_ip, dst_ip)) {
     packets_dropped_++;
     return;

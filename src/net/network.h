@@ -9,6 +9,11 @@
 // The fabric is payload-agnostic: the guest framework hands it a closure to
 // run at delivery time. Latency is base + seeded jitter, so message ordering
 // varies across seeds but is identical for identical (seed, schedule) pairs.
+//
+// Addresses are interned: each distinct ip string gets a small IpId on
+// first use, and the data plane, the drop rules and the ingress taps all
+// work on ids. With no drop rule installed (the common case) reachability
+// is a single emptiness check.
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
@@ -16,6 +21,8 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,12 +32,15 @@
 
 namespace rose {
 
+// Interned ip address; Network::IpName maps it back to the string.
+using IpId = int32_t;
+inline constexpr IpId kNoIp = -1;
+
 // XDP-analogue: observes packets at receiver ingress.
 class IngressTap {
  public:
   virtual ~IngressTap() = default;
-  virtual void OnPacketIn(SimTime now, const std::string& src_ip, const std::string& dst_ip,
-                          int64_t size) = 0;
+  virtual void OnPacketIn(SimTime now, IpId src_ip, IpId dst_ip, int64_t size) = 0;
 };
 
 class Network : public NetReachability {
@@ -40,6 +50,11 @@ class Network : public NetReachability {
   // --- Latency model ---------------------------------------------------------
   void set_base_latency(SimTime base) { base_latency_ = base; }
   void set_jitter(SimTime jitter) { jitter_ = jitter; }
+
+  // --- Addresses -------------------------------------------------------------
+  // The id of `ip`, assigned on first use and stable for the network's life.
+  IpId InternIp(std::string_view ip);
+  const std::string& IpName(IpId id) const { return ip_names_[static_cast<size_t>(id)]; }
 
   // --- TC-style fault rules ---------------------------------------------------
   // Blocks src->dst (one direction). "*" matches any ip.
@@ -54,12 +69,16 @@ class Network : public NetReachability {
                SimTime duration);
   void HealAll();
   bool IsReachable(const std::string& src_ip, const std::string& dst_ip) override;
+  bool IsReachable(IpId src_ip, IpId dst_ip) const;
 
   // --- Data plane --------------------------------------------------------------
   // Sends `size` bytes src->dst; `deliver` runs at the receiver after the
   // ingress taps fire. Dropped silently when a rule matches (like TC).
-  void Send(const std::string& src_ip, const std::string& dst_ip, int64_t size,
-            std::function<void()> deliver);
+  void Send(IpId src_ip, IpId dst_ip, int64_t size, std::function<void()> deliver);
+  void Send(std::string_view src_ip, std::string_view dst_ip, int64_t size,
+            std::function<void()> deliver) {
+    Send(InternIp(src_ip), InternIp(dst_ip), size, std::move(deliver));
+  }
 
   void AddIngressTap(IngressTap* tap);
   void RemoveIngressTap(IngressTap* tap);
@@ -71,12 +90,17 @@ class Network : public NetReachability {
 
  private:
   SimTime NextLatency();
+  // The id of `ip`, or kNoIp when it was never interned (no rule names it).
+  IpId FindIp(const std::string& ip) const;
 
   EventLoop* loop_;
   Rng rng_;
   SimTime base_latency_ = Millis(1);
   SimTime jitter_ = Micros(500);
-  std::set<std::pair<std::string, std::string>> rules_;
+  std::vector<std::string> ip_names_;
+  std::unordered_map<std::string, IpId> ip_ids_;
+  IpId wildcard_;  // The id of "*".
+  std::set<std::pair<IpId, IpId>> rules_;
   std::vector<IngressTap*> taps_;
   uint64_t packets_delivered_ = 0;
   uint64_t packets_dropped_ = 0;

@@ -13,8 +13,8 @@ uint64_t Fold(uint64_t h, uint64_t v) { return Mix64(h + 0x9e3779b97f4a7c15ULL +
 }  // namespace
 
 std::string IndexInputOf(const SyscallInvocation& inv) {
-  if (SysTakesPath(inv.sys)) return inv.path;
-  if (!inv.remote_ip.empty()) return "sock:" + inv.remote_ip;
+  if (SysTakesPath(inv.sys)) return std::string(inv.path);
+  if (!inv.remote_ip.empty()) return std::string("sock:").append(inv.remote_ip);
   return std::string();
 }
 
@@ -23,18 +23,26 @@ void ExecutionIndexTracker::OnFunctionEnter(Pid pid, int32_t function_id) {
   chain.ids[chain.head] = function_id;
   chain.head = static_cast<uint8_t>((chain.head + 1) % kExecutionContextDepth);
   if (chain.size < kExecutionContextDepth) chain.size++;
-  chain.digest = DigestChain(chain);
+  chain.folded = false;
 }
 
-uint64_t ExecutionIndexTracker::DigestOf(Pid pid) const {
+uint64_t ExecutionIndexTracker::DigestOf(Pid pid) {
   auto it = chains_.find(pid);
-  return it == chains_.end() ? 0 : it->second.digest;
+  if (it == chains_.end()) {
+    return 0;
+  }
+  Chain& chain = it->second;
+  if (!chain.folded) {
+    chain.digest = DigestChain(chain);
+    chain.folded = true;
+  }
+  return chain.digest;
 }
 
 uint64_t ExecutionIndexTracker::DigestChain(const Chain& chain) {
   // Oldest-to-newest over the ring so the digest is order-sensitive. The
   // chain is at most kExecutionContextDepth entries, so a full rehash per
-  // enter is a handful of mixes — cheaper than maintaining a removable
+  // read is a handful of mixes — cheaper than maintaining a removable
   // rolling hash and trivially correct.
   uint64_t h = 0;
   const int start = (chain.head - chain.size + kExecutionContextDepth) % kExecutionContextDepth;

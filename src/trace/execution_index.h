@@ -57,7 +57,10 @@ class ExecutionIndexTracker {
   void OnFunctionEnter(Pid pid, int32_t function_id);
 
   // Current context digest of `pid`; 0 when no function has entered yet.
-  uint64_t DigestOf(Pid pid) const;
+  // Enters only record the function id; the chain is folded here, once per
+  // change, because digests are read at syscalls and enters far outnumber
+  // the syscalls that follow them.
+  uint64_t DigestOf(Pid pid);
 
   // Advances and returns the 1-based sequence number of the next invocation
   // matching (node, digest, sys, input). Call exactly once per syscall
@@ -76,6 +79,7 @@ class ExecutionIndexTracker {
     int32_t ids[kExecutionContextDepth] = {};
     uint8_t size = 0;  // Valid entries, <= kExecutionContextDepth.
     uint8_t head = 0;  // Ring slot the next enter writes.
+    bool folded = false;  // `digest` covers every enter so far.
     uint64_t digest = 0;
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <tuple>
 
 namespace rose {
 
@@ -114,12 +115,12 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
       case Sys::kOpen:
       case Sys::kOpenAt:
         fd_bindings_[FdKey(inv.pid, static_cast<int32_t>(result.value))].push_back(
-            FdBinding{now, inv.path});
+            FdBinding{now, std::string(inv.path)});
         break;
       case Sys::kConnect:
       case Sys::kAccept:
         fd_bindings_[FdKey(inv.pid, static_cast<int32_t>(result.value))].push_back(
-            FdBinding{now, "sock:" + inv.remote_ip});
+            FdBinding{now, std::string("sock:").append(inv.remote_ip)});
         break;
       case Sys::kDup: {
         std::string source = ResolveFd(inv.pid, inv.fd, now);
@@ -160,7 +161,7 @@ void Tracer::OnSyscallExit(SimTime now, const SyscallInvocation& inv,
   if (SysTakesPath(inv.sys)) {
     info.filename = pool_.Intern(inv.path);
   } else if (!inv.remote_ip.empty()) {
-    info.filename = pool_.Intern("sock:" + inv.remote_ip);
+    info.filename = pool_.Intern(std::string("sock:").append(inv.remote_ip));
   }
 
   TraceEvent event;
@@ -204,9 +205,8 @@ bool Tracer::QualifiesAsPartitionSilence(const ConnState& conn, SimTime gap) con
   return rate >= 2.0;
 }
 
-void Tracer::OnPacketIn(SimTime now, const std::string& src_ip, const std::string& dst_ip,
-                        int64_t /*size*/) {
-  ConnState& conn = connections_[{src_ip, dst_ip}];
+void Tracer::OnPacketIn(SimTime now, IpId src_ip, IpId dst_ip, int64_t /*size*/) {
+  ConnState& conn = connections_[ConnKey(src_ip, dst_ip)];
   conn.packet_count++;
   if (conn.first_packet == 0) {
     conn.first_packet = now;
@@ -214,11 +214,13 @@ void Tracer::OnPacketIn(SimTime now, const std::string& src_ip, const std::strin
   if (conn.last_packet != 0) {
     const SimTime gap = now - conn.last_packet;
     if (QualifiesAsPartitionSilence(conn, gap)) {
+      const std::string& dst_name = network_->IpName(dst_ip);
       TraceEvent event;
       event.ts = now;
-      event.node = kernel_->NodeOfIp(dst_ip);
+      event.node = kernel_->NodeOfIp(dst_name);
       event.type = EventType::kND;
-      event.info = NdInfo{pool_.Intern(src_ip), pool_.Intern(dst_ip), gap, conn.packet_count};
+      event.info = NdInfo{pool_.Intern(network_->IpName(src_ip)), pool_.Intern(dst_name), gap,
+                          conn.packet_count};
       RecordEvent(std::move(event));
     }
   }
@@ -316,18 +318,33 @@ void Tracer::AppendOpenEndedEvents(std::vector<TraceEvent>* out) {
     }
   }
   // ...and connections silent for longer than the ND threshold (but not so
-  // long that they are simply idle, and only if they carried real traffic).
+  // long that they are simply idle, and only if they carried real traffic),
+  // in (src ip, dst ip) string order.
+  struct SilentFlow {
+    const std::string* src;
+    const std::string* dst;
+    const ConnState* conn;
+  };
+  std::vector<SilentFlow> silent;
   for (const auto& [key, conn] : connections_) {
     if (conn.last_packet != 0 &&
         QualifiesAsPartitionSilence(conn, now - conn.last_packet)) {
-      TraceEvent event;
-      event.ts = now;
-      event.node = kernel_->NodeOfIp(key.second);
-      event.type = EventType::kND;
-      event.info = NdInfo{pool_.Intern(key.first), pool_.Intern(key.second),
-                          now - conn.last_packet, conn.packet_count};
-      out->push_back(std::move(event));
+      silent.push_back(SilentFlow{&network_->IpName(static_cast<IpId>(key >> 32)),
+                                  &network_->IpName(static_cast<IpId>(key & 0xffffffffULL)),
+                                  &conn});
     }
+  }
+  std::sort(silent.begin(), silent.end(), [](const SilentFlow& a, const SilentFlow& b) {
+    return std::tie(*a.src, *a.dst) < std::tie(*b.src, *b.dst);
+  });
+  for (const SilentFlow& flow : silent) {
+    TraceEvent event;
+    event.ts = now;
+    event.node = kernel_->NodeOfIp(*flow.dst);
+    event.type = EventType::kND;
+    event.info = NdInfo{pool_.Intern(*flow.src), pool_.Intern(*flow.dst),
+                        now - flow.conn->last_packet, flow.conn->packet_count};
+    out->push_back(std::move(event));
   }
 }
 

@@ -19,6 +19,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/net/network.h"
@@ -111,8 +112,7 @@ class Tracer : public KernelObserver, public IngressTap {
   void OnFunctionEnter(SimTime now, Pid pid, int32_t function_id) override;
 
   // --- IngressTap -------------------------------------------------------------
-  void OnPacketIn(SimTime now, const std::string& src_ip, const std::string& dst_ip,
-                  int64_t size) override;
+  void OnPacketIn(SimTime now, IpId src_ip, IpId dst_ip, int64_t size) override;
 
  private:
   struct FdBinding {
@@ -125,6 +125,10 @@ class Tracer : public KernelObserver, public IngressTap {
     uint64_t packet_count = 0;
   };
 
+  static uint64_t ConnKey(IpId src_ip, IpId dst_ip) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(src_ip)) << 32) |
+           static_cast<uint32_t>(dst_ip);
+  }
   static uint64_t FdKey(Pid pid, int32_t fd) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(pid)) << 32) |
            static_cast<uint32_t>(fd);
@@ -158,8 +162,9 @@ class Tracer : public KernelObserver, public IngressTap {
   // tracing (ids of overwritten events are never reused), so Dump() compacts
   // into the output trace's own pool.
   StringPool pool_;
-  std::map<uint64_t, std::vector<FdBinding>> fd_bindings_;
-  std::map<std::pair<std::string, std::string>, ConnState> connections_;
+  std::unordered_map<uint64_t, std::vector<FdBinding>> fd_bindings_;
+  // Per-(src, dst) flow state, keyed by ConnKey of the interned ips.
+  std::unordered_map<uint64_t, ConnState> connections_;
   std::set<Pid> crash_reported_;
   std::map<Pid, size_t> pauses_reported_;
 
